@@ -16,7 +16,10 @@
 //              naive reference exactly (== on every element, including
 //              across 1/2/4 pool workers), asserts the arena reaches a
 //              steady state with zero new allocations, times the
-//              forward+backward hot loop, and writes BENCH_gnn_micro.json.
+//              forward+backward hot loop, and writes BENCH_gnn_micro.json
+//              stamped with the CMake build type and sanitizer list.  The
+//              record of reference comes from a Release build without
+//              sanitizers.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -36,6 +39,13 @@
 #include "util/fs.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+
+#ifndef GDDR_BUILD_TYPE
+#define GDDR_BUILD_TYPE "unknown"
+#endif
+#ifndef GDDR_SANITIZE_LIST
+#define GDDR_SANITIZE_LIST ""
+#endif
 
 namespace {
 
@@ -175,7 +185,7 @@ bool kernels_match_reference() {
                       gw.size() * sizeof(float)) != 0) {
         std::fprintf(stderr,
                      "FAIL: kernel mismatch vs reference at %dx%dx%d "
-                     "(workers=%zu)\n",
+                     "(workers=%d)\n",
                      m, k, n, pool == nullptr ? 1 : pool->size());
         return false;
       }
@@ -224,7 +234,8 @@ int run_json_smoke() {
   const double us_per_iter = seconds / kIters * 1e6;
 
   const bool arena_ok = misses_delta == 0;
-  std::printf("forward+backward (GeantLike): %.1f us/iter\n", us_per_iter);
+  std::printf("forward+backward (GeantLike): %.1f us/iter (%s build)\n",
+              us_per_iter, GDDR_BUILD_TYPE);
   std::printf("arena steady state: %llu new allocations over %d iters "
               "(%llu buffer reuses), bytes=%llu: %s\n",
               static_cast<unsigned long long>(misses_delta), kIters,
@@ -241,11 +252,14 @@ int run_json_smoke() {
       "  \"forward_backward_us\": %.3f,\n"
       "  \"forward_backward_iters\": %d,\n"
       "  \"topology\": \"GeantLike\",\n"
+      "  \"build_type\": \"%s\",\n"
+      "  \"sanitizer\": \"%s\",\n"
       "  \"arena_steady_state_misses\": %llu,\n"
       "  \"arena_reuse_per_100_iters\": %llu,\n"
       "  \"arena_bytes\": %llu\n"
       "}\n",
-      kernels_ok ? "true" : "false", us_per_iter, kIters,
+      kernels_ok ? "true" : "false", us_per_iter, kIters, GDDR_BUILD_TYPE,
+      GDDR_SANITIZE_LIST[0] != '\0' ? GDDR_SANITIZE_LIST : "none",
       static_cast<unsigned long long>(misses_delta),
       static_cast<unsigned long long>(reuse_delta),
       static_cast<unsigned long long>(tape.arena_bytes()));

@@ -176,9 +176,11 @@ double direct_pipeline_seconds(core::GnnPolicy& policy,
     }
     const rl::Observation obs = core::RoutingEnv::build_observation(
         scenario, window, memory, memory);
-    const rl::PolicyForward forward = rl::forward_policy(policy, obs);
+    // The same mean-only forward rung 1 runs: a batch of one.
+    const std::vector<double> mean =
+        rl::forward_action_means(policy, {&obs}).front();
     const std::vector<double> weights =
-        routing::weights_from_actions(forward.mean, 0.5, 3.0);
+        routing::weights_from_actions(mean, 0.5, 3.0);
     const routing::Routing strategy = routing::softmin_routing(g, weights);
     const routing::SimulationResult sim = routing::simulate(g, strategy, dm);
     (void)sim;
@@ -288,9 +290,12 @@ int main(int argc, char** argv) {
               tally.rungs[4]);
 
   // ---- Phase 3: breaker trip -> half-open probe -> recovery ----------
+  // The backoff outlasts the trip drive's remaining requests even on a
+  // sanitizer build, so trips/probes/recoveries are deterministic (the CI
+  // smoke diffs them against the committed record).
   serve::RouterConfig breaker_config = chaos_config();
   breaker_config.breaker.failure_threshold = 2;
-  breaker_config.breaker.initial_backoff = std::chrono::milliseconds(2);
+  breaker_config.breaker.initial_backoff = std::chrono::milliseconds(50);
   serve::RobustRouter breaker_router(&policy, breaker_config);
   const auto cycle_demands = make_demands(abilene, 4, 23);
   Tally trip_tally;
@@ -298,7 +303,7 @@ int main(int argc, char** argv) {
   drive(breaker_router, abilene, cycle_demands, trip_tally);
   util::FaultInjector::instance().disarm();
   const bool tripped = breaker_router.breaker().stats().trips >= 1;
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
   Tally probe_tally;
   drive(breaker_router, abilene, cycle_demands, probe_tally);
   const serve::CircuitBreaker::Stats breaker_stats =

@@ -1,7 +1,9 @@
 #include "core/policies.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -25,59 +27,85 @@ nn::MlpConfig mlp_config(const std::vector<int>& hidden, double output_scale) {
   return cfg;
 }
 
-// Assembles the on-tape graph attributes from an observation.
-GraphVars graph_vars_from(Tape& tape, const rl::Observation& obs) {
-  return GraphVars{tape.constant(obs.nodes), tape.constant(obs.edges),
-                   tape.constant(obs.globals)};
-}
-
-std::size_t spec_hash(const rl::Observation& obs) {
-  // FNV-1a over the connectivity ints; collisions are resolved by the
-  // full equality check in cached_spec.
+std::size_t spec_hash(const rl::Observation& obs, int batch) {
+  // FNV-1a over the connectivity ints and the batch size; collisions are
+  // resolved by the full equality check in cached_spec.
   std::size_t h = 1469598103934665603ULL;
   auto mix = [&h](int v) {
     h ^= static_cast<std::size_t>(static_cast<unsigned>(v));
     h *= 1099511628211ULL;
   };
+  mix(batch);
   mix(obs.num_nodes);
   for (int v : obs.senders) mix(v);
   for (int v : obs.receivers) mix(v);
   return h;
 }
 
-// Most runs train on a handful of topologies, each observed thousands of
-// times; beyond this the cache resets rather than growing unboundedly.
-constexpr std::size_t kSpecCacheCap = 64;
+// True when `spec` stacks `batch` copies of the observation's graph: copy
+// 0's stacked ids are the base ids themselves.
+bool spec_matches(const GraphSpec& spec, const rl::Observation& obs,
+                  int batch) {
+  const auto prefix_equals = [](const std::vector<int>& stacked,
+                                const std::vector<int>& base) {
+    return std::equal(base.begin(), base.end(), stacked.begin());
+  };
+  return spec.batch == batch && spec.base_nodes == obs.num_nodes &&
+         spec.base_edges == static_cast<int>(obs.senders.size()) &&
+         obs.receivers.size() == obs.senders.size() &&
+         prefix_equals(*spec.senders, obs.senders) &&
+         prefix_equals(spec.receiver_plan->segments, obs.receivers);
+}
 
-// Returns a GraphSpec (with gather/segment plans built) for the
-// observation's connectivity, cached per topology.  Policies run
-// concurrently on rollout-collector workers, so the cache is thread-local
+// Most runs train and serve on a handful of topologies, each observed
+// thousands of times at batch 1 plus a few serving batch sizes; beyond
+// this the cache resets rather than growing unboundedly.
+constexpr std::size_t kSpecCacheCap = 128;
+
+// Returns the GraphSpec stacking `batch` copies of the observation's
+// connectivity, cached per (topology, batch).  Policies run concurrently
+// on rollout-collector and serving workers, so the cache is thread-local
 // — no locks on the hot path.  The returned reference is valid until this
 // thread's next cached_spec call; the kernel plans themselves are
 // shared_ptrs retained by the tape, so they outlive any cache eviction.
-const GraphSpec& cached_spec(const rl::Observation& obs) {
+const GraphSpec& cached_spec(const rl::Observation& obs, int batch) {
   struct Entry {
     std::size_t hash = 0;
     GraphSpec spec;
   };
   thread_local std::vector<std::unique_ptr<Entry>> cache;
-  const std::size_t h = spec_hash(obs);
+  const std::size_t h = spec_hash(obs, batch);
   for (const auto& e : cache) {
-    if (e->hash == h && e->spec.num_nodes == obs.num_nodes &&
-        e->spec.senders == obs.senders &&
-        e->spec.receivers == obs.receivers) {
-      return e->spec;
-    }
+    if (e->hash == h && spec_matches(e->spec, obs, batch)) return e->spec;
   }
   if (cache.size() >= kSpecCacheCap) cache.clear();
   auto e = std::make_unique<Entry>();
   e->hash = h;
-  e->spec.num_nodes = obs.num_nodes;
-  e->spec.senders = obs.senders;
-  e->spec.receivers = obs.receivers;
-  e->spec.ensure_plans();
+  e->spec = GraphSpec::from_edges(obs.num_nodes, obs.senders, obs.receivers,
+                                  batch);
   cache.push_back(std::move(e));
   return cache.back()->spec;
+}
+
+// One encode-process-decode forward of `net` over the observations stacked
+// as disjoint copies of their shared graph (the caller guarantees shared
+// connectivity and attribute shapes).  Copy b's attribute rows sit at
+// offset b * rows in the stacked tensors; a single observation is a batch
+// of one, whose inputs are plain arena copies of its tensors.
+GraphVars forward_stacked(gnn::EncodeProcessDecode& net, Tape& tape,
+                          std::span<const rl::Observation* const> obs) {
+  const int batch = static_cast<int>(obs.size());
+  const GraphSpec& spec = cached_spec(*obs.front(), batch);
+  const auto stack = [&](const Tensor rl::Observation::* member) {
+    return tape.stack_rows(
+        batch, [&](int b) -> const Tensor& {
+          return obs[static_cast<std::size_t>(b)]->*member;
+        });
+  };
+  const GraphVars in{stack(&rl::Observation::nodes),
+                     stack(&rl::Observation::edges),
+                     stack(&rl::Observation::globals)};
+  return net.forward(tape, spec, in);
 }
 
 }  // namespace
@@ -174,70 +202,11 @@ int GnnPolicy::action_dim(const rl::Observation& obs) const {
 }
 
 Tape::Var GnnPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = pi_.forward(tape, spec, graph_vars_from(tape, obs));
+  const rl::Observation* one[] = {&obs};
+  const GraphVars out = forward_stacked(pi_, tape, one);
   // Decoded edge attributes (E x 1) -> action row (1 x E).
-  return tape.reshape(out.edges, 1, spec.num_edges());
+  return tape.reshape(out.edges, 1, action_dim(obs));
 }
-
-namespace {
-
-// Batched specs are derived from a cached base spec and reused across
-// requests the same way cached_spec entries are: thread-local (policies
-// run on concurrent serving workers), keyed by base connectivity + batch,
-// reset past the cap rather than growing without bound.  The returned
-// reference is valid until this thread's next cached_batched_spec call.
-const gnn::BatchedGraphSpec& cached_batched_spec(const rl::Observation& obs,
-                                                 const GraphSpec& base,
-                                                 int batch) {
-  struct Entry {
-    std::size_t hash = 0;
-    int batch = 0;
-    int num_nodes = 0;
-    std::vector<int> senders;
-    std::vector<int> receivers;
-    gnn::BatchedGraphSpec bspec;
-  };
-  thread_local std::vector<std::unique_ptr<Entry>> cache;
-  const std::size_t h = spec_hash(obs);
-  for (const auto& e : cache) {
-    if (e->hash == h && e->batch == batch &&
-        e->num_nodes == obs.num_nodes && e->senders == obs.senders &&
-        e->receivers == obs.receivers) {
-      return e->bspec;
-    }
-  }
-  if (cache.size() >= kSpecCacheCap) cache.clear();
-  auto e = std::make_unique<Entry>();
-  e->hash = h;
-  e->batch = batch;
-  e->num_nodes = obs.num_nodes;
-  e->senders = obs.senders;
-  e->receivers = obs.receivers;
-  e->bspec = gnn::BatchedGraphSpec::from(base, batch);
-  cache.push_back(std::move(e));
-  return cache.back()->bspec;
-}
-
-// Stacks per-observation attribute tensors row-wise (copy b's rows are
-// contiguous at offset b * rows).
-Tensor stack_tensors(const std::vector<const rl::Observation*>& obs,
-                     const Tensor rl::Observation::* member) {
-  const Tensor& first = (*obs.front()).*member;
-  Tensor stacked(static_cast<int>(obs.size()) * first.rows(), first.cols());
-  int row = 0;
-  for (const rl::Observation* o : obs) {
-    const Tensor& t = o->*member;
-    for (int i = 0; i < t.rows(); ++i, ++row) {
-      for (int j = 0; j < t.cols(); ++j) {
-        stacked.at(row, j) = t.at(i, j);
-      }
-    }
-  }
-  return stacked;
-}
-
-}  // namespace
 
 bool GnnPolicy::action_means(Tape& tape,
                              const std::vector<const rl::Observation*>& obs,
@@ -253,25 +222,17 @@ bool GnnPolicy::action_means(Tape& tape,
       return false;
     }
   }
-  const GraphSpec& base = cached_spec(first);
-  const int batch = static_cast<int>(obs.size());
-  const gnn::BatchedGraphSpec& bspec =
-      cached_batched_spec(first, base, batch);
-  const GraphVars in{
-      tape.constant(stack_tensors(obs, &rl::Observation::nodes)),
-      tape.constant(stack_tensors(obs, &rl::Observation::edges)),
-      tape.constant(stack_tensors(obs, &rl::Observation::globals))};
-  const GraphVars decoded = pi_.forward_batched(tape, bspec, in);
+  const GraphVars decoded = forward_stacked(pi_, tape, obs);
   // Decoded stacked edge attributes (batch*E x 1) -> one action row per
   // copy (batch x E): row-major reshape keeps copy b's E edges on row b.
-  out = tape.reshape(decoded.edges, batch, bspec.base_edges);
+  out = tape.reshape(decoded.edges, static_cast<int>(obs.size()),
+                     action_dim(first));
   return true;
 }
 
 Tape::Var GnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = vf_.forward(tape, spec, graph_vars_from(tape, obs));
-  return out.globals;  // 1 x 1
+  const rl::Observation* one[] = {&obs};
+  return forward_stacked(vf_, tape, one).globals;  // 1 x 1
 }
 
 Tape::Var GnnPolicy::log_std_row(Tape& tape, int adim) {
@@ -326,15 +287,13 @@ IterativeGnnPolicy::IterativeGnnPolicy(const IterativeGnnPolicyConfig& config,
 
 Tape::Var IterativeGnnPolicy::action_mean(Tape& tape,
                                           const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = pi_.forward(tape, spec, graph_vars_from(tape, obs));
-  return out.globals;
+  const rl::Observation* one[] = {&obs};
+  return forward_stacked(pi_, tape, one).globals;  // 1 x 2
 }
 
 Tape::Var IterativeGnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const GraphSpec& spec = cached_spec(obs);
-  const GraphVars out = vf_.forward(tape, spec, graph_vars_from(tape, obs));
-  return out.globals;
+  const rl::Observation* one[] = {&obs};
+  return forward_stacked(vf_, tape, one).globals;  // 1 x 1
 }
 
 Tape::Var IterativeGnnPolicy::log_std_row(Tape& tape, int adim) {

@@ -1,6 +1,8 @@
 #include "gnn/graph_net.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -10,63 +12,62 @@ using nn::Mlp;
 using nn::MlpConfig;
 using nn::Tape;
 
-GraphSpec GraphSpec::from(const graph::DiGraph& g) {
-  GraphSpec spec;
-  spec.num_nodes = g.num_nodes();
-  spec.senders.reserve(static_cast<size_t>(g.num_edges()));
-  spec.receivers.reserve(static_cast<size_t>(g.num_edges()));
-  for (const auto& e : g.edges()) {
-    spec.senders.push_back(e.src);
-    spec.receivers.push_back(e.dst);
+GraphSpec GraphSpec::from_edges(int num_nodes, std::span<const int> senders,
+                                std::span<const int> receivers, int batch) {
+  if (batch < 1) throw std::invalid_argument("GraphSpec: batch < 1");
+  if (num_nodes < 0 || senders.size() != receivers.size()) {
+    throw std::invalid_argument("GraphSpec: malformed edge lists");
   }
-  spec.ensure_plans();
+  for (std::size_t e = 0; e < senders.size(); ++e) {
+    if (senders[e] < 0 || senders[e] >= num_nodes || receivers[e] < 0 ||
+        receivers[e] >= num_nodes) {
+      throw std::invalid_argument("GraphSpec: vertex id out of range");
+    }
+  }
+  GraphSpec spec;
+  spec.batch = batch;
+  spec.base_nodes = num_nodes;
+  spec.base_edges = static_cast<int>(senders.size());
+  const auto stacked_edges = static_cast<std::size_t>(spec.num_edges());
+  std::vector<int> stacked_senders;
+  std::vector<int> stacked_receivers;
+  std::vector<int> node_ids;
+  std::vector<int> edge_ids;
+  stacked_senders.reserve(stacked_edges);
+  stacked_receivers.reserve(stacked_edges);
+  node_ids.reserve(static_cast<std::size_t>(spec.num_nodes()));
+  edge_ids.reserve(stacked_edges);
+  for (int copy = 0; copy < batch; ++copy) {
+    const int offset = copy * num_nodes;
+    for (std::size_t e = 0; e < senders.size(); ++e) {
+      stacked_senders.push_back(senders[e] + offset);
+      stacked_receivers.push_back(receivers[e] + offset);
+      edge_ids.push_back(copy);
+    }
+    node_ids.insert(node_ids.end(), static_cast<std::size_t>(num_nodes), copy);
+  }
+  auto plan = [](std::vector<int> ids, int segments) {
+    return std::make_shared<const nn::kernels::SegmentPlan>(
+        nn::kernels::build_segment_plan(std::move(ids), segments));
+  };
+  spec.senders =
+      std::make_shared<const std::vector<int>>(std::move(stacked_senders));
+  spec.receiver_plan = plan(std::move(stacked_receivers), spec.num_nodes());
+  spec.node_pool_plan = plan(std::move(node_ids), batch);
+  spec.edge_pool_plan = plan(std::move(edge_ids), batch);
   return spec;
 }
 
-void GraphSpec::ensure_plans() {
-  if (senders_shared && receivers_shared && receiver_plan) return;
-  senders_shared = std::make_shared<const std::vector<int>>(senders);
-  receivers_shared = std::make_shared<const std::vector<int>>(receivers);
-  receiver_plan = std::make_shared<const nn::kernels::SegmentPlan>(
-      nn::kernels::build_segment_plan(receivers, num_nodes));
-}
-
-BatchedGraphSpec BatchedGraphSpec::from(const GraphSpec& base, int batch) {
-  if (batch < 1) {
-    throw std::invalid_argument("BatchedGraphSpec: batch < 1");
+GraphSpec GraphSpec::from(const graph::DiGraph& g, int batch) {
+  std::vector<int> senders;
+  std::vector<int> receivers;
+  senders.reserve(static_cast<std::size_t>(g.num_edges()));
+  receivers.reserve(static_cast<std::size_t>(g.num_edges()));
+  for (const auto& e : g.edges()) {
+    senders.push_back(e.src);
+    receivers.push_back(e.dst);
   }
-  BatchedGraphSpec b;
-  b.batch = batch;
-  b.base_nodes = base.num_nodes;
-  b.base_edges = base.num_edges();
-  b.spec.num_nodes = batch * base.num_nodes;
-  const std::size_t stacked_edges =
-      static_cast<std::size_t>(batch) * base.senders.size();
-  b.spec.senders.reserve(stacked_edges);
-  b.spec.receivers.reserve(stacked_edges);
-  std::vector<int> node_ids;
-  std::vector<int> edge_ids;
-  node_ids.reserve(static_cast<std::size_t>(b.spec.num_nodes));
-  edge_ids.reserve(stacked_edges);
-  for (int copy = 0; copy < batch; ++copy) {
-    const int offset = copy * base.num_nodes;
-    for (std::size_t e = 0; e < base.senders.size(); ++e) {
-      b.spec.senders.push_back(base.senders[e] + offset);
-      b.spec.receivers.push_back(base.receivers[e] + offset);
-      edge_ids.push_back(copy);
-    }
-    for (int v = 0; v < base.num_nodes; ++v) node_ids.push_back(copy);
-  }
-  b.spec.ensure_plans();
-  b.node_graph_ids =
-      std::make_shared<const std::vector<int>>(std::move(node_ids));
-  b.edge_graph_ids =
-      std::make_shared<const std::vector<int>>(std::move(edge_ids));
-  b.node_pool_plan = std::make_shared<const nn::kernels::SegmentPlan>(
-      nn::kernels::build_segment_plan(*b.node_graph_ids, batch));
-  b.edge_pool_plan = std::make_shared<const nn::kernels::SegmentPlan>(
-      nn::kernels::build_segment_plan(*b.edge_graph_ids, batch));
-  return b;
+  return from_edges(g.num_nodes(), senders, receivers, batch);
 }
 
 namespace {
@@ -79,22 +80,6 @@ MlpConfig make_mlp_config(const std::vector<int>& hidden, nn::Activation act,
   cfg.output_activation = nn::Activation::kIdentity;
   cfg.output_scale = output_scale;
   return cfg;
-}
-
-void check_graph_vars(nn::Tape& tape, const GraphSpec& spec,
-                      const GraphVars& in, int node_dim, int edge_dim,
-                      int global_dim, const char* who) {
-  const auto& nv = tape.value(in.nodes);
-  const auto& ev = tape.value(in.edges);
-  const auto& gv = tape.value(in.globals);
-  if (nv.rows() != spec.num_nodes || nv.cols() != node_dim ||
-      ev.rows() != spec.num_edges() || ev.cols() != edge_dim ||
-      gv.rows() != 1 || gv.cols() != global_dim) {
-    throw std::invalid_argument(
-        std::string(who) + ": graph attribute shapes " + nv.shape_str() +
-        "/" + ev.shape_str() + "/" + gv.shape_str() +
-        " do not match the configured sizes");
-  }
 }
 
 }  // namespace
@@ -116,105 +101,49 @@ GnBlock::GnBlock(const GnBlockConfig& config, util::Rng& rng)
 
 GraphVars GnBlock::forward(Tape& tape, const GraphSpec& spec,
                            const GraphVars& in) {
-  check_graph_vars(tape, spec, in, config_.node_in, config_.edge_in,
-                   config_.global_in, "GnBlock");
-  const int num_edges = spec.num_edges();
-
-  // --- phi_e: update every edge from [e_k, v_sender, v_receiver, u] ---
-  obs::ScopedTimer edge_timer("gnn/block/edge");
-  // Planned specs share index vectors / the bucketed segment plan with
-  // the tape by pointer; unplanned (hand-rolled) specs copy per call.
-  const bool planned =
-      spec.senders_shared && spec.receivers_shared && spec.receiver_plan;
-  const Tape::Var sender_feats =
-      planned ? tape.gather_rows(in.nodes, spec.senders_shared)
-              : tape.gather_rows(in.nodes, spec.senders);
-  const Tape::Var receiver_feats =
-      planned ? tape.gather_rows(in.nodes, spec.receivers_shared)
-              : tape.gather_rows(in.nodes, spec.receivers);
-  const Tape::Var u_per_edge = tape.broadcast_rows(in.globals, num_edges);
-  Tape::Var edge_input = tape.concat_cols(in.edges, sender_feats);
-  edge_input = tape.concat_cols(edge_input, receiver_feats);
-  edge_input = tape.concat_cols(edge_input, u_per_edge);
-  const Tape::Var edges_out = edge_mlp_.forward(tape, edge_input);
-  edge_timer.stop();
-
-  // --- rho_{e->v}: aggregate updated edges at their receiver ---
-  obs::ScopedTimer node_timer("gnn/block/node");
-  const Tape::Var agg_edges =
-      planned ? tape.segment_sum(edges_out, spec.receiver_plan)
-              : tape.segment_sum(edges_out, spec.receivers, spec.num_nodes);
-
-  // --- phi_v: update every node from [agg_edges, v_i, u] ---
-  const Tape::Var u_per_node = tape.broadcast_rows(in.globals, spec.num_nodes);
-  Tape::Var node_input = tape.concat_cols(agg_edges, in.nodes);
-  node_input = tape.concat_cols(node_input, u_per_node);
-  const Tape::Var nodes_out = node_mlp_.forward(tape, node_input);
-  node_timer.stop();
-
-  // --- rho_{e->u}, rho_{v->u}: pool everything for the global update ---
-  obs::ScopedTimer global_timer("gnn/block/global");
-  const Tape::Var all_edges = tape.sum_rows(edges_out);
-  const Tape::Var all_nodes = tape.sum_rows(nodes_out);
-
-  // --- phi_u ---
-  Tape::Var global_input = tape.concat_cols(all_edges, all_nodes);
-  global_input = tape.concat_cols(global_input, in.globals);
-  const Tape::Var globals_out = global_mlp_.forward(tape, global_input);
-  global_timer.stop();
-
-  return GraphVars{nodes_out, edges_out, globals_out};
-}
-
-GraphVars GnBlock::forward_batched(Tape& tape, const BatchedGraphSpec& bspec,
-                                   const GraphVars& in) {
-  const GraphSpec& spec = bspec.spec;
   const auto& nv = tape.value(in.nodes);
   const auto& ev = tape.value(in.edges);
   const auto& gv = tape.value(in.globals);
-  if (nv.rows() != spec.num_nodes || nv.cols() != config_.node_in ||
+  if (nv.rows() != spec.num_nodes() || nv.cols() != config_.node_in ||
       ev.rows() != spec.num_edges() || ev.cols() != config_.edge_in ||
-      gv.rows() != bspec.batch || gv.cols() != config_.global_in) {
+      gv.rows() != spec.batch || gv.cols() != config_.global_in) {
     throw std::invalid_argument(
-        std::string("GnBlock (batched): graph attribute shapes ") +
-        nv.shape_str() + "/" + ev.shape_str() + "/" + gv.shape_str() +
+        std::string("GnBlock: graph attribute shapes ") + nv.shape_str() +
+        "/" + ev.shape_str() + "/" + gv.shape_str() +
         " do not match the configured sizes");
   }
 
-  // Identical to forward() except where the single global row forces a
-  // shape: broadcast_rows(globals) becomes a gather by copy id (the same
-  // value copies, one row per stacked element) and the global pooling
-  // sum_rows becomes a per-copy segment sum.  Each copy's rows are
-  // contiguous and ascending, so the segment buckets accumulate in
-  // exactly sum_rows' order — the kernel contract that keeps the batched
-  // forward bit-identical.
+  // --- phi_e: update every edge from [e_k, v_sender, v_receiver, u] ---
+  // Each copy's global row reaches its edges and nodes by a gather on the
+  // copy id, and the global pooling is a per-copy segment sum.  Each
+  // copy's rows are contiguous and ascending, so every bucket accumulates
+  // in plain row order — the kernel contract that makes a copy's output
+  // independent of the batch it rides in.
   obs::ScopedTimer edge_timer("gnn/block/edge");
-  const Tape::Var sender_feats =
-      tape.gather_rows(in.nodes, spec.senders_shared);
-  const Tape::Var receiver_feats =
-      tape.gather_rows(in.nodes, spec.receivers_shared);
+  const Tape::Var sender_feats = tape.gather_rows(in.nodes, spec.senders);
+  const Tape::Var receiver_feats = tape.gather_rows(in.nodes, spec.receivers());
   const Tape::Var u_per_edge =
-      tape.gather_rows(in.globals, bspec.edge_graph_ids);
+      tape.gather_rows(in.globals, spec.edge_graph_ids());
   Tape::Var edge_input = tape.concat_cols(in.edges, sender_feats);
   edge_input = tape.concat_cols(edge_input, receiver_feats);
   edge_input = tape.concat_cols(edge_input, u_per_edge);
   const Tape::Var edges_out = edge_mlp_.forward(tape, edge_input);
   edge_timer.stop();
 
+  // --- rho_{e->v}, then phi_v: update every node from [agg_edges, v_i, u] ---
   obs::ScopedTimer node_timer("gnn/block/node");
   const Tape::Var agg_edges = tape.segment_sum(edges_out, spec.receiver_plan);
   const Tape::Var u_per_node =
-      tape.gather_rows(in.globals, bspec.node_graph_ids);
+      tape.gather_rows(in.globals, spec.node_graph_ids());
   Tape::Var node_input = tape.concat_cols(agg_edges, in.nodes);
   node_input = tape.concat_cols(node_input, u_per_node);
   const Tape::Var nodes_out = node_mlp_.forward(tape, node_input);
   node_timer.stop();
 
+  // --- rho_{e->u}, rho_{v->u}, then phi_u ---
   obs::ScopedTimer global_timer("gnn/block/global");
-  const Tape::Var all_edges =
-      tape.segment_sum(edges_out, bspec.edge_pool_plan);
-  const Tape::Var all_nodes =
-      tape.segment_sum(nodes_out, bspec.node_pool_plan);
+  const Tape::Var all_edges = tape.segment_sum(edges_out, spec.edge_pool_plan);
+  const Tape::Var all_nodes = tape.segment_sum(nodes_out, spec.node_pool_plan);
   Tape::Var global_input = tape.concat_cols(all_edges, all_nodes);
   global_input = tape.concat_cols(global_input, in.globals);
   const Tape::Var globals_out = global_mlp_.forward(tape, global_input);
@@ -329,22 +258,6 @@ GraphVars EncodeProcessDecode::forward(Tape& tape, const GraphSpec& spec,
         tape.concat_cols(encoded.edges, latent.edges),
         tape.concat_cols(encoded.globals, latent.globals)};
     latent = core_.forward(tape, spec, core_in);
-  }
-  return decoder_.forward(tape, latent);
-}
-
-GraphVars EncodeProcessDecode::forward_batched(Tape& tape,
-                                               const BatchedGraphSpec& bspec,
-                                               const GraphVars& in) {
-  obs::ScopedTimer forward_timer("gnn/forward");
-  const GraphVars encoded = encoder_.forward(tape, in);
-  GraphVars latent = encoded;
-  for (int step = 0; step < config_.steps; ++step) {
-    const GraphVars core_in{
-        tape.concat_cols(encoded.nodes, latent.nodes),
-        tape.concat_cols(encoded.edges, latent.edges),
-        tape.concat_cols(encoded.globals, latent.globals)};
-    latent = core_.forward_batched(tape, bspec, core_in);
   }
   return decoder_.forward(tape, latent);
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -27,59 +28,62 @@
 
 namespace gddr::gnn {
 
-// Immutable connectivity: which node each directed edge leaves (sender)
-// and enters (receiver).
+// Connectivity of `batch` disjoint copies of one base graph stacked into a
+// single graph: copy b's node i is stacked node b * base_nodes + i and its
+// edge e is stacked edge b * base_edges + e.  A single graph is a batch of
+// one, so every GN forward runs over this one spec type.
 //
-// The shared_ptr members are per-topology kernel plans, built once by
-// ensure_plans() and then reused by every GnBlock::forward on this spec —
-// the tape retains them by pointer, so repeated forwards copy no index
-// data and the bucketed segment-sum sorts the receiver ids exactly once.
-struct GraphSpec {
-  int num_nodes = 0;
-  std::vector<int> senders;
-  std::vector<int> receivers;
-
-  // Built by ensure_plans(); null until then (GnBlock falls back to the
-  // unplanned tape ops when null, so hand-rolled specs keep working).
-  std::shared_ptr<const std::vector<int>> senders_shared;
-  std::shared_ptr<const std::vector<int>> receivers_shared;
-  std::shared_ptr<const nn::kernels::SegmentPlan> receiver_plan;
-
-  static GraphSpec from(const graph::DiGraph& g);
-  // Idempotently builds the shared index vectors and the bucketed
-  // segment-sum plan from senders/receivers/num_nodes.
-  void ensure_plans();
-  int num_edges() const { return static_cast<int>(senders.size()); }
-};
-
-// On-tape attribute set for one graph.
-struct GraphVars {
-  nn::Tape::Var nodes;    // N x node_dim
-  nn::Tape::Var edges;    // E x edge_dim
-  nn::Tape::Var globals;  // 1 x global_dim
-};
-
-// Connectivity for `batch` disjoint copies of one base graph stacked into
-// a single big graph (copy b's node i becomes stacked node b*N + i), plus
-// the bookkeeping to broadcast per-copy globals and pool per copy.  The
-// serving engine batches same-topology requests through one forward pass
-// with this: every kernel touched (gather / segment-sum / row-wise MLPs)
+// The spec is immutable and always planned: the factories build every
+// index vector and bucketed segment-sum plan once, and the tape retains
+// them by pointer, so repeated forwards on a cached spec copy no index
+// data.  The per-row ids of each plan double as the gather indices
+// (receivers(), node_graph_ids(), edge_graph_ids()), so no index vector
+// is stored twice.
+//
+// Every kernel a forward touches (gather, segment sum, row-wise MLPs)
 // accumulates each output element over the same values in the same order
-// as the unbatched forward, so the stacked result is bit-identical to
-// `batch` separate forwards (asserted in test_gnn).
-struct BatchedGraphSpec {
-  GraphSpec spec;  // stacked connectivity, batch*N nodes / batch*E edges
+// for any batch, so copy b of a stacked forward is bit-identical to a
+// batch-of-one forward on that copy alone (asserted in test_gnn) — the
+// property that lets serving batch requests and training reuse one path.
+struct GraphSpec {
   int batch = 0;
   int base_nodes = 0;
   int base_edges = 0;
-  // Copy id per stacked row, ascending (0,...,0,1,...,1,...).
-  std::shared_ptr<const std::vector<int>> node_graph_ids;
-  std::shared_ptr<const std::vector<int>> edge_graph_ids;
-  // Bucketed plans pooling stacked rows per copy (rho_{e->u}, rho_{v->u}).
+  // Stacked sender node per stacked edge (batch * base_edges entries).
+  std::shared_ptr<const std::vector<int>> senders;
+  // rho_{e->v}: stacked edges pooled at their stacked receiver.
+  std::shared_ptr<const nn::kernels::SegmentPlan> receiver_plan;
+  // rho_{v->u}, rho_{e->u}: stacked rows pooled per copy.
   std::shared_ptr<const nn::kernels::SegmentPlan> node_pool_plan;
   std::shared_ptr<const nn::kernels::SegmentPlan> edge_pool_plan;
 
-  static BatchedGraphSpec from(const GraphSpec& base, int batch);
+  // `batch` copies of the graph on `num_nodes` vertices whose edge e runs
+  // senders[e] -> receivers[e].  Throws std::invalid_argument on batch < 1,
+  // mismatched edge lists or an out-of-range vertex id.
+  static GraphSpec from_edges(int num_nodes, std::span<const int> senders,
+                              std::span<const int> receivers, int batch = 1);
+  static GraphSpec from(const graph::DiGraph& g, int batch = 1);
+
+  int num_nodes() const { return batch * base_nodes; }
+  int num_edges() const { return batch * base_edges; }
+  // Stacked receiver node per stacked edge.
+  std::shared_ptr<const std::vector<int>> receivers() const {
+    return {receiver_plan, &receiver_plan->segments};
+  }
+  // Copy id per stacked node / edge row, ascending (0,...,0,1,...,1,...).
+  std::shared_ptr<const std::vector<int>> node_graph_ids() const {
+    return {node_pool_plan, &node_pool_plan->segments};
+  }
+  std::shared_ptr<const std::vector<int>> edge_graph_ids() const {
+    return {edge_pool_plan, &edge_pool_plan->segments};
+  }
+};
+
+// On-tape attribute set for a (stacked) graph.
+struct GraphVars {
+  nn::Tape::Var nodes;    // num_nodes x node_dim
+  nn::Tape::Var edges;    // num_edges x edge_dim
+  nn::Tape::Var globals;  // batch x global_dim
 };
 
 struct GnBlockConfig {
@@ -98,15 +102,11 @@ class GnBlock {
  public:
   GnBlock(const GnBlockConfig& config, util::Rng& rng);
 
+  // `in` carries spec.batch graph copies (nodes num_nodes x node_in,
+  // edges num_edges x edge_in, globals batch x global_in); throws
+  // std::invalid_argument on any other shape.
   GraphVars forward(nn::Tape& tape, const GraphSpec& spec,
                     const GraphVars& in);
-
-  // Stacked-batch forward: `in` carries bspec.batch disjoint graph copies
-  // (nodes batch*N x node_in, edges batch*E x edge_in, globals
-  // batch x global_in) and every output row is bit-identical to the
-  // corresponding row of a per-copy forward().
-  GraphVars forward_batched(nn::Tape& tape, const BatchedGraphSpec& bspec,
-                            const GraphVars& in);
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;
@@ -167,14 +167,10 @@ class EncodeProcessDecode {
  public:
   EncodeProcessDecode(const EncodeProcessDecodeConfig& config, util::Rng& rng);
 
+  // The encoder and decoder are row-independent MLPs, so only the core
+  // sees the spec.
   GraphVars forward(nn::Tape& tape, const GraphSpec& spec,
                     const GraphVars& in);
-
-  // Stacked-batch forward (see GnBlock::forward_batched).  The encoder
-  // and decoder are row-independent MLPs, so only the core's broadcast
-  // and pooling change shape.
-  GraphVars forward_batched(nn::Tape& tape, const BatchedGraphSpec& bspec,
-                            const GraphVars& in);
 
   std::vector<nn::Parameter*> parameters();
   std::size_t num_parameters() const;

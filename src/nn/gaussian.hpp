@@ -32,7 +32,8 @@ std::vector<double> sample_diag_gaussian(std::span<const double> mean,
 
 // Log-density of `actions` (N x A constant) under N(mean, exp(log_std)),
 // where `mean` is an on-tape N x A Var and `log_std` an on-tape N x A Var
-// (broadcast the 1 x A parameter with Tape::broadcast_rows).  Returns an
+// (repeat the 1 x A parameter per row with Tape::gather_rows on all-zero
+// indices).  Returns an
 // N x 1 Var of per-row log-probabilities (summed over action dims).
 // log_std enters through clip(log_std, kLogStdMin, kLogStdMax), so the
 // result is finite for any finite inputs (zero gradient to log_std at the

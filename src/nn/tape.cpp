@@ -291,28 +291,6 @@ Tape::Var Tape::add_bias(Var m, Var bias) {
   });
 }
 
-Tape::Var Tape::broadcast_rows(Var rowvec, int n) {
-  check_var(rowvec, "broadcast_rows");
-  const Tensor& rv = node(rowvec).value;
-  if (rv.rows() != 1) {
-    throw std::invalid_argument("broadcast_rows: input must be 1xC, got " +
-                                rv.shape_str());
-  }
-  if (n <= 0) throw std::invalid_argument("broadcast_rows: n <= 0");
-  Tensor out = alloc(n, rv.cols());
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < rv.cols(); ++j) out.at(i, j) = rv.at(0, j);
-  }
-  const int ir = rowvec.id;
-  return push(std::move(out), [ir](Tape& t, int self) {
-    const Tensor& g = t.grad_of(self);
-    Tensor& gr = t.grad_of(ir);
-    for (int i = 0; i < g.rows(); ++i) {
-      for (int j = 0; j < g.cols(); ++j) gr.at(0, j) += g.at(i, j);
-    }
-  });
-}
-
 Tape::Var Tape::broadcast_cols(Var colvec, int n) {
   check_var(colvec, "broadcast_cols");
   const Tensor& cv = node(colvec).value;
@@ -407,47 +385,6 @@ Tape::Var Tape::slice_cols(Var m, int start, int len) {
   });
 }
 
-namespace {
-
-void gather_rows_forward(const gddr::nn::Tensor& mv,
-                         const std::vector<int>& indices,
-                         gddr::nn::Tensor& out) {
-  for (size_t i = 0; i < indices.size(); ++i) {
-    for (int j = 0; j < mv.cols(); ++j) {
-      out.at(static_cast<int>(i), j) = mv.at(indices[i], j);
-    }
-  }
-}
-
-void gather_rows_backward(const gddr::nn::Tensor& g,
-                          const std::vector<int>& indices,
-                          gddr::nn::Tensor& gm) {
-  for (size_t i = 0; i < indices.size(); ++i) {
-    for (int j = 0; j < g.cols(); ++j) {
-      gm.at(indices[i], j) += g.at(static_cast<int>(i), j);
-    }
-  }
-}
-
-}  // namespace
-
-Tape::Var Tape::gather_rows(Var m, std::vector<int> indices) {
-  check_var(m, "gather_rows");
-  const Tensor& mv = node(m).value;
-  for (int idx : indices) {
-    if (idx < 0 || idx >= mv.rows()) {
-      throw std::invalid_argument("gather_rows: index out of range");
-    }
-  }
-  Tensor out = alloc(static_cast<int>(indices.size()), mv.cols());
-  gather_rows_forward(mv, indices, out);
-  const int im = m.id;
-  return push(std::move(out),
-              [im, indices = std::move(indices)](Tape& t, int self) {
-                gather_rows_backward(t.grad_of(self), indices, t.grad_of(im));
-              });
-}
-
 Tape::Var Tape::gather_rows(Var m,
                             std::shared_ptr<const std::vector<int>> indices) {
   check_var(m, "gather_rows");
@@ -459,44 +396,23 @@ Tape::Var Tape::gather_rows(Var m,
     }
   }
   Tensor out = alloc(static_cast<int>(indices->size()), mv.cols());
-  gather_rows_forward(mv, *indices, out);
+  for (size_t i = 0; i < indices->size(); ++i) {
+    for (int j = 0; j < mv.cols(); ++j) {
+      out.at(static_cast<int>(i), j) = mv.at((*indices)[i], j);
+    }
+  }
   const int im = m.id;
   const std::vector<int>* idx = indices.get();
   retained_.push_back(std::move(indices));
   return push(std::move(out), [im, idx](Tape& t, int self) {
-    gather_rows_backward(t.grad_of(self), *idx, t.grad_of(im));
+    const Tensor& g = t.grad_of(self);
+    Tensor& gm = t.grad_of(im);
+    for (size_t i = 0; i < idx->size(); ++i) {
+      for (int j = 0; j < g.cols(); ++j) {
+        gm.at((*idx)[i], j) += g.at(static_cast<int>(i), j);
+      }
+    }
   });
-}
-
-Tape::Var Tape::segment_sum(Var m, std::vector<int> segments,
-                            int num_segments) {
-  check_var(m, "segment_sum");
-  const Tensor& mv = node(m).value;
-  if (segments.size() != static_cast<size_t>(mv.rows())) {
-    throw std::invalid_argument("segment_sum: segment count != rows");
-  }
-  for (int s : segments) {
-    if (s < 0 || s >= num_segments) {
-      throw std::invalid_argument("segment_sum: segment id out of range");
-    }
-  }
-  Tensor out = alloc(num_segments, mv.cols());
-  for (size_t i = 0; i < segments.size(); ++i) {
-    for (int j = 0; j < mv.cols(); ++j) {
-      out.at(segments[i], j) += mv.at(static_cast<int>(i), j);
-    }
-  }
-  const int im = m.id;
-  return push(std::move(out),
-              [im, segments = std::move(segments)](Tape& t, int self) {
-                const Tensor& g = t.grad_of(self);
-                Tensor& gm = t.grad_of(im);
-                for (size_t i = 0; i < segments.size(); ++i) {
-                  for (int j = 0; j < g.cols(); ++j) {
-                    gm.at(static_cast<int>(i), j) += g.at(segments[i], j);
-                  }
-                }
-              });
 }
 
 Tape::Var Tape::segment_sum(Var m,
@@ -677,23 +593,6 @@ Tape::Var Tape::mean_all(Var x) {
   const auto count = static_cast<float>(node(x).value.size());
   if (count == 0.0F) throw std::invalid_argument("mean_all: empty tensor");
   return scale(sum_all(x), 1.0F / count);
-}
-
-Tape::Var Tape::sum_rows(Var x) {
-  check_var(x, "sum_rows");
-  const Tensor& xv = node(x).value;
-  Tensor out = alloc(1, xv.cols());
-  for (int i = 0; i < xv.rows(); ++i) {
-    for (int j = 0; j < xv.cols(); ++j) out.at(0, j) += xv.at(i, j);
-  }
-  const int ix = x.id;
-  return push(std::move(out), [ix](Tape& t, int self) {
-    const Tensor& g = t.grad_of(self);
-    Tensor& gx = t.grad_of(ix);
-    for (int i = 0; i < gx.rows(); ++i) {
-      for (int j = 0; j < gx.cols(); ++j) gx.at(i, j) += g.at(0, j);
-    }
-  });
 }
 
 Tape::Var Tape::sum_cols(Var x) {

@@ -7,7 +7,7 @@
 // the owning Parameter so optimisers can step them.
 //
 // The op set is exactly what the MLP policy, the Battaglia graph-network
-// block (gather / segment-sum / concat / broadcast) and the PPO loss
+// block (gather / segment-sum / concat / stack) and the PPO loss
 // (elementwise arithmetic, clip, min, reductions) require.  The dense
 // kernels behind matmul / linear / segment_sum live in nn/kernels.hpp;
 // they are bit-compatible with the naive reference loops and optionally
@@ -24,9 +24,13 @@
 // with both shapes in the message.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/kernels.hpp"
@@ -66,6 +70,12 @@ class Tape {
   Var constant(Tensor&& value);       // adopts the buffer
   // Zero-filled rows x cols constant straight from the arena.
   Var zeros(int rows, int cols);
+  // Constant holding the rows of block(0), ..., block(count - 1) stacked in
+  // order; block(i) returns a const Tensor& and every block has the same
+  // column count.  Built in the arena, so a stack of one costs what
+  // constant(block(0)) does and allocates nothing in steady state.
+  template <typename BlockFn>
+  Var stack_rows(int count, BlockFn&& block);
   // Gradient flows into `p.grad` on backward(); `p` must outlive the tape.
   Var leaf(Parameter& p);
 
@@ -84,25 +94,21 @@ class Tape {
   Var linear(Var x, Var w, Var bias, Activation act);
   // Adds a 1xC bias row to every row of an NxC matrix.
   Var add_bias(Var m, Var bias);
-  // 1xC -> NxC by repetition (backward sums over rows).
-  Var broadcast_rows(Var rowvec, int n);
   // Nx1 -> NxC by repetition (backward sums over cols).
   Var broadcast_cols(Var colvec, int n);
   // Same element count, new shape; data order preserved (row-major).
   Var reshape(Var x, int rows, int cols);
   Var concat_cols(Var a, Var b);
   Var slice_cols(Var m, int start, int len);
-  // out[i] = m[indices[i]] (rows); backward scatter-adds.
-  Var gather_rows(Var m, std::vector<int> indices);
-  // Shared-index variant: the index vector is retained by pointer, so
-  // repeated forward passes on one topology copy nothing and the closure
-  // stays within std::function's small-buffer optimisation.
+  // out[i] = m[indices[i]] (rows); backward scatter-adds.  The index
+  // vector is retained by pointer, so repeated forward passes on one
+  // topology copy nothing and the closure stays within std::function's
+  // small-buffer optimisation.
   Var gather_rows(Var m, std::shared_ptr<const std::vector<int>> indices);
-  // out[s] = sum of rows i with segments[i] == s; the unsorted_segment_sum
-  // pooling of the paper's GN blocks.
-  Var segment_sum(Var m, std::vector<int> segments, int num_segments);
-  // Planned variant: the bucketed plan is built once per topology
-  // (kernels::build_segment_plan) and shared across forward calls.
+  // out[s] = sum of rows i with plan->segments[i] == s; the
+  // unsorted_segment_sum pooling of the paper's GN blocks.  The bucketed
+  // plan is built once per topology (kernels::build_segment_plan) and
+  // shared across forward calls.
   Var segment_sum(Var m, std::shared_ptr<const kernels::SegmentPlan> plan);
 
   // --- unary ---
@@ -121,7 +127,6 @@ class Tape {
   // --- reductions ---
   Var sum_all(Var x);   // -> 1x1
   Var mean_all(Var x);  // -> 1x1
-  Var sum_rows(Var x);  // NxC -> 1xC
   Var sum_cols(Var x);  // NxC -> Nx1
 
   // --- execution ---
@@ -199,5 +204,28 @@ class Tape {
   // read by the monotonicity contract in grad_of.
   int active_backward_node_ = -1;
 };
+
+template <typename BlockFn>
+Tape::Var Tape::stack_rows(int count, BlockFn&& block) {
+  if (count < 1) throw std::invalid_argument("stack_rows: count < 1");
+  const int cols = block(0).cols();
+  int rows = 0;
+  for (int i = 0; i < count; ++i) {
+    const Tensor& part = block(i);
+    if (part.cols() != cols) {
+      throw std::invalid_argument("stack_rows: column mismatch " +
+                                  block(0).shape_str() + " vs " +
+                                  part.shape_str());
+    }
+    rows += part.rows();
+  }
+  Tensor out = alloc(rows, cols);
+  float* dst = out.data().data();
+  for (int i = 0; i < count; ++i) {
+    const auto src = block(i).data();
+    dst = std::copy(src.begin(), src.end(), dst);
+  }
+  return push(std::move(out), {});
+}
 
 }  // namespace gddr::nn

@@ -8,45 +8,61 @@
 
 namespace gddr::rl {
 
-PolicyForward forward_policy(Policy& policy, const Observation& obs) {
-  // One long-lived tape per thread (rollout collectors call this
-  // concurrently): reset() recycles every buffer through the tape's
-  // arena, so steady-state rollout steps allocate nothing.
+namespace {
+
+// One long-lived tape per thread (rollout collectors, evaluation and
+// serving workers call these concurrently): reset() recycles every buffer
+// through the tape's arena, so steady-state forwards allocate nothing.
+nn::Tape& thread_tape() {
   thread_local nn::Tape tape;
   tape.reset();
+  return tape;
+}
+
+std::vector<double> row_of(const nn::Tensor& t, int row) {
+  std::vector<double> out(static_cast<std::size_t>(t.cols()));
+  for (int j = 0; j < t.cols(); ++j) {
+    out[static_cast<std::size_t>(j)] = t.at(row, j);
+  }
+  return out;
+}
+
+}  // namespace
+
+PolicyForward forward_policy(Policy& policy, const Observation& obs) {
+  nn::Tape& tape = thread_tape();
   const int adim = policy.action_dim(obs);
   const nn::Tape::Var mean = policy.action_mean(tape, obs);
   const nn::Tape::Var value = policy.value(tape, obs);
   const nn::Tape::Var log_std = policy.log_std_row(tape, adim);
   PolicyForward fwd;
-  const nn::Tensor& mv = tape.value(mean);
-  const nn::Tensor& lv = tape.value(log_std);
-  fwd.mean.resize(static_cast<size_t>(mv.cols()));
-  fwd.log_std.resize(static_cast<size_t>(lv.cols()));
-  for (int j = 0; j < mv.cols(); ++j) {
-    fwd.mean[static_cast<size_t>(j)] = mv.at(0, j);
-  }
-  for (int j = 0; j < lv.cols(); ++j) {
-    fwd.log_std[static_cast<size_t>(j)] = lv.at(0, j);
-  }
+  fwd.mean = row_of(tape.value(mean), 0);
+  fwd.log_std = row_of(tape.value(log_std), 0);
   fwd.value = tape.value(value).at(0, 0);
   return fwd;
 }
 
+std::vector<double> forward_action_mean(Policy& policy,
+                                        const Observation& obs) {
+  nn::Tape& tape = thread_tape();
+  return row_of(tape.value(policy.action_mean(tape, obs)), 0);
+}
+
 std::vector<std::vector<double>> forward_action_means(
     Policy& policy, const std::vector<const Observation*>& obs) {
-  if (obs.empty()) return {};
-  thread_local nn::Tape tape;
-  tape.reset();
+  std::vector<std::vector<double>> means;
+  means.reserve(obs.size());
+  nn::Tape& tape = thread_tape();
   nn::Tape::Var stacked;
-  if (!policy.action_means(tape, obs, stacked)) return {};
-  const nn::Tensor& mv = tape.value(stacked);
-  std::vector<std::vector<double>> means(obs.size());
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    means[i].resize(static_cast<std::size_t>(mv.cols()));
-    for (int j = 0; j < mv.cols(); ++j) {
-      means[i][static_cast<std::size_t>(j)] = mv.at(static_cast<int>(i), j);
+  if (policy.action_means(tape, obs, stacked)) {
+    const nn::Tensor& mv = tape.value(stacked);
+    for (std::size_t i = 0; i < obs.size(); ++i) {
+      means.push_back(row_of(mv, static_cast<int>(i)));
     }
+    return means;
+  }
+  for (const Observation* o : obs) {
+    means.push_back(forward_action_mean(policy, *o));
   }
   return means;
 }

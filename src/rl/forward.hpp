@@ -1,7 +1,7 @@
-// One-off (no-gradient) policy forward passes, shared by the PPO trainer
-// and the vectorised collector.  A forward builds a private Tape and only
-// reads policy parameters, so concurrent calls on the same policy from
-// different threads are safe.
+// One-off (no-gradient) policy forward passes, shared by the PPO trainer,
+// the vectorised collector, evaluation and serving.  A forward runs on a
+// thread-local Tape and only reads policy parameters, so concurrent calls
+// on the same policy from different threads are safe.
 #pragma once
 
 #include <vector>
@@ -16,14 +16,21 @@ struct PolicyForward {
   double value = 0.0;
 };
 
-// Evaluates action mean, log-std row and state value for one observation.
+// Evaluates action mean, log-std row and state value for one observation
+// (what a rollout step needs).
 PolicyForward forward_policy(Policy& policy, const Observation& obs);
 
-// Batched no-gradient action means for observations sharing one topology
-// (one stacked GNN forward instead of |obs| separate ones).  Row i is
-// bit-identical to forward_policy(policy, *obs[i]).mean.  Returns an
-// empty vector when the policy has no batched path or the observations
-// do not share connectivity — callers then loop forward_policy.
+// Action mean alone for one observation: the value network never runs.
+std::vector<double> forward_action_mean(Policy& policy,
+                                        const Observation& obs);
+
+// No-gradient action means, one row per observation: the one inference
+// forward serving uses, where a lone request is a batch of one.
+// Observations sharing one topology go through the policy's stacked
+// path (one GNN forward instead of |obs|); policies without one, or
+// observations of mixed connectivity, fall back to one action_mean per
+// observation.  Row i is bit-identical to
+// forward_action_mean(policy, *obs[i]) either way.
 std::vector<std::vector<double>> forward_action_means(
     Policy& policy, const std::vector<const Observation*>& obs);
 

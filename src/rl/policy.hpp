@@ -40,11 +40,12 @@ class Policy {
   // Human-readable identifier used in bench output.
   virtual std::string name() const = 0;
 
-  // Batched action means for observations sharing one topology (the
+  // Stacked action means for observations sharing one topology (the
   // serving engine's micro-batches): on success fills `out` with a
   // B x action_dim Var whose row b is bit-identical to
-  // action_mean(tape, *obs[b]).  The default has no batched path and
-  // returns false; callers then fall back to per-observation forwards.
+  // action_mean(tape, *obs[b]).  The default has no stacked path and
+  // returns false; rl::forward_action_means then runs action_mean once
+  // per observation.
   virtual bool action_means(nn::Tape& /*tape*/,
                             const std::vector<const Observation*>& /*obs*/,
                             nn::Tape::Var& /*out*/) {

@@ -37,7 +37,7 @@ PpoTrainer::PpoTrainer(Policy& policy, std::vector<Env*> envs,
       health_(params_, config.health, optimizer_) {}
 
 std::vector<double> PpoTrainer::act_deterministic(const Observation& obs) {
-  return forward_policy(policy_, obs).mean;
+  return forward_action_mean(policy_, obs);
 }
 
 PpoIterationStats PpoTrainer::train_iteration() {

@@ -366,14 +366,14 @@ FailureCause RobustRouter::try_policy_rung(
   std::vector<double> mean;
   if (precomputed_mean != nullptr) {
     // Computed by decide_batch's stacked forward — bit-identical to the
-    // per-request forward below, so both paths route identically.
+    // batch of one below, so both paths route identically.
     mean = *precomputed_mean;
   } else {
     try {
       const rl::Observation obs =
           serving_observation(entry.obs_scenario, history, config_.memory,
                               config_.node_features);
-      mean = rl::forward_policy(*policy_, obs).mean;
+      mean = std::move(rl::forward_action_means(*policy_, {&obs}).front());
     } catch (const std::exception&) {
       return FailureCause::kPolicyError;
     }

@@ -183,13 +183,13 @@ class RobustRouter {
   RouteDecision decide(const RouteRequest& request);
 
   // Decides a micro-batch of same-topology requests, amortising the GNN
-  // forward: when the policy has a batched path (rl::Policy::
-  // action_means) and rung 1 is live, all action means are computed in
-  // one stacked forward and each request then runs the ordinary ladder
-  // on its own precomputed mean.  Decisions are identical to calling
-  // decide() per request in order (the stacked forward is bit-identical
-  // per row).  Requests that do not share the first request's topology,
-  // or any batch-path miss, fall back to plain decide().  Never throws.
+  // forward: when rung 1 is live, all action means are computed up front
+  // by rl::forward_action_means (one stacked forward when the policy has
+  // one) and each request then runs the ordinary ladder on its own
+  // precomputed mean.  Decisions are identical to calling decide() per
+  // request in order, which runs the same forward as a batch of one.
+  // Requests that do not share the first request's topology, or any
+  // precompute failure, fall back to plain decide().  Never throws.
   std::vector<RouteDecision> decide_batch(
       const std::vector<const RouteRequest*>& requests);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <vector>
 
 #include "gnn/graph_net.hpp"
 #include "nn/optimizer.hpp"
@@ -17,18 +18,16 @@ using Var = Tape::Var;
 
 GraphSpec line_graph() {
   // 0 -> 1 -> 2
-  GraphSpec spec;
-  spec.num_nodes = 3;
-  spec.senders = {0, 1};
-  spec.receivers = {1, 2};
-  return spec;
+  const std::vector<int> senders{0, 1};
+  const std::vector<int> receivers{1, 2};
+  return GraphSpec::from_edges(3, senders, receivers);
 }
 
 GraphVars make_vars(Tape& tape, const GraphSpec& spec, int node_dim,
                     int edge_dim, int global_dim, util::Rng& rng) {
-  Tensor nodes(spec.num_nodes, node_dim);
+  Tensor nodes(spec.num_nodes(), node_dim);
   Tensor edges(spec.num_edges(), edge_dim);
-  Tensor globals(1, global_dim);
+  Tensor globals(spec.batch, global_dim);
   for (float& v : nodes.data()) v = static_cast<float>(rng.uniform(-1, 1));
   for (float& v : edges.data()) v = static_cast<float>(rng.uniform(-1, 1));
   for (float& v : globals.data()) v = static_cast<float>(rng.uniform(-1, 1));
@@ -36,15 +35,28 @@ GraphVars make_vars(Tape& tape, const GraphSpec& spec, int node_dim,
                    tape.constant(globals)};
 }
 
-TEST(GraphSpec, FromDiGraph) {
+TEST(GraphSpec, FromDiGraphIsABatchOfOne) {
   const auto g = topo::abilene();
   const GraphSpec spec = GraphSpec::from(g);
-  EXPECT_EQ(spec.num_nodes, 11);
+  EXPECT_EQ(spec.batch, 1);
+  EXPECT_EQ(spec.num_nodes(), 11);
   EXPECT_EQ(spec.num_edges(), 28);
   for (int e = 0; e < spec.num_edges(); ++e) {
-    EXPECT_EQ(spec.senders[static_cast<size_t>(e)], g.edge(e).src);
-    EXPECT_EQ(spec.receivers[static_cast<size_t>(e)], g.edge(e).dst);
+    EXPECT_EQ((*spec.senders)[static_cast<size_t>(e)], g.edge(e).src);
+    EXPECT_EQ((*spec.receivers())[static_cast<size_t>(e)], g.edge(e).dst);
+    EXPECT_EQ((*spec.edge_graph_ids())[static_cast<size_t>(e)], 0);
   }
+  for (int v : *spec.node_graph_ids()) EXPECT_EQ(v, 0);
+}
+
+TEST(GraphSpec, FromEdgesRejectsMalformedInput) {
+  const std::vector<int> two{0, 1};
+  const std::vector<int> one{1};
+  const std::vector<int> out_of_range{1, 3};
+  EXPECT_THROW(GraphSpec::from_edges(3, two, one), std::invalid_argument);
+  EXPECT_THROW(GraphSpec::from_edges(3, two, out_of_range),
+               std::invalid_argument);
+  EXPECT_THROW(GraphSpec::from_edges(3, two, two, 0), std::invalid_argument);
 }
 
 TEST(GnBlock, OutputShapes) {
@@ -93,7 +105,7 @@ TEST(GnBlock, ParameterCountIndependentOfGraphSize) {
     const GraphVars in = make_vars(tape, spec, cfg.node_in, cfg.edge_in,
                                    cfg.global_in, rng);
     const GraphVars out = block.forward(tape, spec, in);
-    EXPECT_EQ(tape.value(out.nodes).rows(), spec.num_nodes);
+    EXPECT_EQ(tape.value(out.nodes).rows(), spec.num_nodes());
   }
   EXPECT_EQ(block.num_parameters(), count);
 }
@@ -145,10 +157,9 @@ TEST(GnBlock, PermutationEquivariance) {
   cfg.global_out = 3;
   GnBlock block(cfg, rng);
 
-  GraphSpec spec;
-  spec.num_nodes = 4;
-  spec.senders = {0, 1, 2, 3};
-  spec.receivers = {1, 2, 3, 0};
+  const std::vector<int> senders{0, 1, 2, 3};
+  const std::vector<int> receivers{1, 2, 3, 0};
+  const GraphSpec spec = GraphSpec::from_edges(4, senders, receivers);
 
   util::Rng frng(6);
   Tensor nodes(4, 2);
@@ -159,13 +170,15 @@ TEST(GnBlock, PermutationEquivariance) {
 
   // Permutation pi: old -> new.
   const std::vector<int> pi{2, 0, 3, 1};
-  GraphSpec pspec;
-  pspec.num_nodes = 4;
+  std::vector<int> psenders;
+  std::vector<int> preceivers;
   for (int e = 0; e < 4; ++e) {
-    pspec.senders.push_back(pi[static_cast<size_t>(spec.senders[static_cast<size_t>(e)])]);
-    pspec.receivers.push_back(
-        pi[static_cast<size_t>(spec.receivers[static_cast<size_t>(e)])]);
+    psenders.push_back(
+        pi[static_cast<size_t>(senders[static_cast<size_t>(e)])]);
+    preceivers.push_back(
+        pi[static_cast<size_t>(receivers[static_cast<size_t>(e)])]);
   }
+  const GraphSpec pspec = GraphSpec::from_edges(4, psenders, preceivers);
   Tensor pnodes(4, 2);
   for (int v = 0; v < 4; ++v) {
     for (int c = 0; c < 2; ++c) {
@@ -329,15 +342,15 @@ TEST(EncodeProcessDecode, LearnsEdgeSumTask) {
   double first = 0.0;
   double last = 0.0;
   for (int iter = 0; iter < 300; ++iter) {
-    Tensor nodes(spec.num_nodes, 1);
+    Tensor nodes(spec.num_nodes(), 1);
     for (float& v : nodes.data()) {
       v = static_cast<float>(data_rng.uniform(-1, 1));
     }
     Tensor target(spec.num_edges(), 1);
     for (int e = 0; e < spec.num_edges(); ++e) {
       target.at(e, 0) =
-          nodes.at(spec.senders[static_cast<size_t>(e)], 0) +
-          nodes.at(spec.receivers[static_cast<size_t>(e)], 0);
+          nodes.at((*spec.senders)[static_cast<size_t>(e)], 0) +
+          nodes.at((*spec.receivers())[static_cast<size_t>(e)], 0);
     }
     Tape tape;
     const GraphVars out = net.forward(
@@ -373,14 +386,14 @@ TEST(EncodeProcessDecode, SameModelRunsOnDifferentTopologies) {
   }
 }
 
-// Stacks `batch` copies of per-copy inputs into the row layout
-// BatchedGraphSpec expects: copy b's rows at [b*N, (b+1)*N), but with
-// *different* values per copy so the test can tell copies apart.
+// Stacks `batch` copies of per-copy inputs into the row layout a stacked
+// GraphSpec expects: copy b's rows at [b*N, (b+1)*N), but with *different*
+// values per copy so the test can tell copies apart.
 GraphVars make_stacked_vars(Tape& tape, const GraphSpec& base, int batch,
                             int node_dim, int edge_dim, int global_dim,
                             std::vector<GraphVars>& per_copy,
                             std::deque<Tape>& copy_tapes, util::Rng& rng) {
-  Tensor nodes(base.num_nodes * batch, node_dim);
+  Tensor nodes(base.num_nodes() * batch, node_dim);
   Tensor edges(base.num_edges() * batch, edge_dim);
   Tensor globals(batch, global_dim);
   for (float& v : nodes.data()) v = static_cast<float>(rng.uniform(-1, 1));
@@ -390,12 +403,12 @@ GraphVars make_stacked_vars(Tape& tape, const GraphSpec& base, int batch,
   copy_tapes.resize(static_cast<size_t>(batch));
   per_copy.clear();
   for (int b = 0; b < batch; ++b) {
-    Tensor n(base.num_nodes, node_dim);
+    Tensor n(base.num_nodes(), node_dim);
     Tensor e(base.num_edges(), edge_dim);
     Tensor g(1, global_dim);
-    for (int r = 0; r < base.num_nodes; ++r) {
+    for (int r = 0; r < base.num_nodes(); ++r) {
       for (int c = 0; c < node_dim; ++c) {
-        n.at(r, c) = nodes.at(b * base.num_nodes + r, c);
+        n.at(r, c) = nodes.at(b * base.num_nodes() + r, c);
       }
     }
     for (int r = 0; r < base.num_edges(); ++r) {
@@ -425,35 +438,39 @@ void expect_rows_bit_identical(const Tensor& stacked, const Tensor& solo,
   }
 }
 
-TEST(BatchedGraphSpec, StacksDisjointCopies) {
+TEST(GraphSpec, StacksDisjointCopies) {
   const GraphSpec base = GraphSpec::from(topo::abilene());
-  const BatchedGraphSpec bspec = BatchedGraphSpec::from(base, 3);
+  const GraphSpec bspec = GraphSpec::from(topo::abilene(), 3);
   EXPECT_EQ(bspec.batch, 3);
-  EXPECT_EQ(bspec.base_nodes, base.num_nodes);
+  EXPECT_EQ(bspec.base_nodes, base.num_nodes());
   EXPECT_EQ(bspec.base_edges, base.num_edges());
-  EXPECT_EQ(bspec.spec.num_nodes, base.num_nodes * 3);
-  EXPECT_EQ(bspec.spec.num_edges(), base.num_edges() * 3);
+  EXPECT_EQ(bspec.num_nodes(), base.num_nodes() * 3);
+  EXPECT_EQ(bspec.num_edges(), base.num_edges() * 3);
+  const auto receivers = bspec.receivers();
+  const auto base_receivers = base.receivers();
   for (int b = 0; b < 3; ++b) {
     for (int e = 0; e < base.num_edges(); ++e) {
       const auto idx = static_cast<size_t>(b * base.num_edges() + e);
-      EXPECT_EQ(bspec.spec.senders[idx],
-                base.senders[static_cast<size_t>(e)] + b * base.num_nodes);
-      EXPECT_EQ(bspec.spec.receivers[idx],
-                base.receivers[static_cast<size_t>(e)] + b * base.num_nodes);
-      EXPECT_EQ((*bspec.edge_graph_ids)[idx], b);
+      EXPECT_EQ((*bspec.senders)[idx],
+                (*base.senders)[static_cast<size_t>(e)] + b * base.num_nodes());
+      EXPECT_EQ((*receivers)[idx],
+                (*base_receivers)[static_cast<size_t>(e)] +
+                    b * base.num_nodes());
+      EXPECT_EQ((*bspec.edge_graph_ids())[idx], b);
     }
-    for (int n = 0; n < base.num_nodes; ++n) {
-      EXPECT_EQ((*bspec.node_graph_ids)[static_cast<size_t>(
-                    b * base.num_nodes + n)],
+    for (int n = 0; n < base.num_nodes(); ++n) {
+      EXPECT_EQ((*bspec.node_graph_ids())[static_cast<size_t>(
+                    b * base.num_nodes() + n)],
                 b);
     }
   }
-  EXPECT_THROW(BatchedGraphSpec::from(base, 0), std::invalid_argument);
+  EXPECT_THROW(GraphSpec::from(topo::abilene(), 0), std::invalid_argument);
 }
 
-// The serving engine's batched inference is only admissible because the
-// stacked forward is *bit-identical* per copy — a decision served from a
-// batch must not depend on who it shared the batch with.
+// The serving engine's batched inference is only admissible because a
+// stacked forward is *bit-identical* per copy to a batch of one — a
+// decision served from a batch must not depend on who it shared the batch
+// with.
 TEST(GnBlock, BatchedForwardBitIdenticalToPerCopyForwards) {
   util::Rng rng(21);
   GnBlockConfig cfg;
@@ -467,7 +484,7 @@ TEST(GnBlock, BatchedForwardBitIdenticalToPerCopyForwards) {
 
   const GraphSpec base = GraphSpec::from(topo::abilene());
   const int batch = 4;
-  const BatchedGraphSpec bspec = BatchedGraphSpec::from(base, batch);
+  const GraphSpec bspec = GraphSpec::from(topo::abilene(), batch);
 
   Tape stacked_tape;
   std::vector<GraphVars> per_copy;
@@ -476,7 +493,7 @@ TEST(GnBlock, BatchedForwardBitIdenticalToPerCopyForwards) {
   const GraphVars in =
       make_stacked_vars(stacked_tape, base, batch, 3, 2, 2, per_copy,
                         copy_tapes, frng);
-  const GraphVars out = block.forward_batched(stacked_tape, bspec, in);
+  const GraphVars out = block.forward(stacked_tape, bspec, in);
   const Tensor& nodes = stacked_tape.value(out.nodes);
   const Tensor& edges = stacked_tape.value(out.edges);
   const Tensor& globals = stacked_tape.value(out.globals);
@@ -487,7 +504,7 @@ TEST(GnBlock, BatchedForwardBitIdenticalToPerCopyForwards) {
     const GraphVars solo =
         block.forward(t, base, per_copy[static_cast<size_t>(b)]);
     expect_rows_bit_identical(nodes, t.value(solo.nodes),
-                              b * base.num_nodes, "nodes");
+                              b * base.num_nodes(), "nodes");
     expect_rows_bit_identical(edges, t.value(solo.edges),
                               b * base.num_edges(), "edges");
     expect_rows_bit_identical(globals, t.value(solo.globals), b, "globals");
@@ -503,7 +520,7 @@ TEST(EncodeProcessDecode, BatchedForwardBitIdenticalToPerCopyForwards) {
 
   const GraphSpec base = GraphSpec::from(topo::nsfnet());
   const int batch = 3;
-  const BatchedGraphSpec bspec = BatchedGraphSpec::from(base, batch);
+  const GraphSpec bspec = GraphSpec::from(topo::nsfnet(), batch);
 
   Tape stacked_tape;
   std::vector<GraphVars> per_copy;
@@ -511,7 +528,7 @@ TEST(EncodeProcessDecode, BatchedForwardBitIdenticalToPerCopyForwards) {
   util::Rng frng(24);
   const GraphVars in = make_stacked_vars(stacked_tape, base, batch, 2, 1, 1,
                                          per_copy, copy_tapes, frng);
-  const GraphVars out = net.forward_batched(stacked_tape, bspec, in);
+  const GraphVars out = net.forward(stacked_tape, bspec, in);
   const Tensor& edges = stacked_tape.value(out.edges);
 
   for (int b = 0; b < batch; ++b) {

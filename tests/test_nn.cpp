@@ -8,11 +8,13 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "nn/gaussian.hpp"
+#include "nn/kernels.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -25,6 +27,16 @@ namespace gddr::nn {
 namespace {
 
 using Var = Tape::Var;
+
+std::shared_ptr<const std::vector<int>> shared_ids(std::vector<int> ids) {
+  return std::make_shared<const std::vector<int>>(std::move(ids));
+}
+
+std::shared_ptr<const kernels::SegmentPlan> segment_plan(
+    std::vector<int> segments, int num_segments) {
+  return std::make_shared<const kernels::SegmentPlan>(
+      kernels::build_segment_plan(std::move(segments), num_segments));
+}
 
 // ---------------- Tensor ----------------
 
@@ -101,7 +113,8 @@ TEST(Tape, SegmentSumValues) {
   m.at(0, 1) = 10;
   m.at(1, 1) = 20;
   m.at(2, 1) = 40;
-  const Var out = tape.segment_sum(tape.constant(m), {0, 1, 0}, 2);
+  const Var out =
+      tape.segment_sum(tape.constant(m), segment_plan({0, 1, 0}, 2));
   EXPECT_FLOAT_EQ(tape.value(out).at(0, 0), 5.0F);
   EXPECT_FLOAT_EQ(tape.value(out).at(1, 0), 2.0F);
   EXPECT_FLOAT_EQ(tape.value(out).at(0, 1), 50.0F);
@@ -110,7 +123,7 @@ TEST(Tape, SegmentSumValues) {
 TEST(Tape, SegmentSumEmptySegmentIsZero) {
   Tape tape;
   Tensor m(1, 1, 3.0F);
-  const Var out = tape.segment_sum(tape.constant(m), {2}, 4);
+  const Var out = tape.segment_sum(tape.constant(m), segment_plan({2}, 4));
   EXPECT_FLOAT_EQ(tape.value(out).at(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(tape.value(out).at(2, 0), 3.0F);
 }
@@ -121,10 +134,55 @@ TEST(Tape, GatherRowsValues) {
   m.at(0, 0) = 7;
   m.at(1, 0) = 8;
   m.at(2, 0) = 9;
-  const Var out = tape.gather_rows(tape.constant(m), {2, 0, 2});
+  const Var out =
+      tape.gather_rows(tape.constant(m), shared_ids({2, 0, 2}));
   EXPECT_FLOAT_EQ(tape.value(out).at(0, 0), 9.0F);
   EXPECT_FLOAT_EQ(tape.value(out).at(1, 0), 7.0F);
   EXPECT_FLOAT_EQ(tape.value(out).at(2, 0), 9.0F);
+}
+
+TEST(Tape, StackRowsValues) {
+  Tape tape;
+  const Tensor a = Tensor::row({1.0F, 2.0F});
+  Tensor b(2, 2);
+  b.at(0, 0) = 3;
+  b.at(0, 1) = 4;
+  b.at(1, 0) = 5;
+  b.at(1, 1) = 6;
+  const Tensor* parts[] = {&a, &b};
+  const Tensor& v = tape.value(tape.stack_rows(
+      2, [&](int i) -> const Tensor& { return *parts[i]; }));
+  ASSERT_EQ(v.rows(), 3);
+  ASSERT_EQ(v.cols(), 2);
+  for (int j = 0; j < 2; ++j) {
+    EXPECT_EQ(v.at(0, j), a.at(0, j));
+    EXPECT_EQ(v.at(1, j), b.at(0, j));
+    EXPECT_EQ(v.at(2, j), b.at(1, j));
+  }
+  const Tensor narrow(1, 1);
+  EXPECT_THROW(tape.stack_rows(
+                   2, [&](int i) -> const Tensor& { return i ? narrow : a; }),
+               std::invalid_argument);
+  EXPECT_THROW(
+      tape.stack_rows(0, [&](int) -> const Tensor& { return a; }),
+      std::invalid_argument);
+}
+
+// The stacked buffer comes from the arena (one reuse per call once warm),
+// never from a fresh heap tensor the arena would adopt at reset.
+TEST(Tape, StackRowsReusesArenaBuffers) {
+  const Tensor a(3, 40, 1.0F);
+  Tape tape;
+  auto stack = [&] {
+    tape.reset();
+    tape.stack_rows(2, [&](int) -> const Tensor& { return a; });
+  };
+  stack();
+  const std::uint64_t misses = tape.arena_misses();
+  const std::uint64_t reuse = tape.arena_reuse();
+  for (int i = 0; i < 5; ++i) stack();
+  EXPECT_EQ(tape.arena_misses(), misses);
+  EXPECT_EQ(tape.arena_reuse(), reuse + 5);
 }
 
 TEST(Tape, ClipValues) {
@@ -156,7 +214,6 @@ TEST(Tape, ReductionValues) {
   const Var c = tape.constant(m);
   EXPECT_FLOAT_EQ(tape.value(tape.sum_all(c)).at(0, 0), 10.0F);
   EXPECT_FLOAT_EQ(tape.value(tape.mean_all(c)).at(0, 0), 2.5F);
-  EXPECT_FLOAT_EQ(tape.value(tape.sum_rows(c)).at(0, 1), 6.0F);
   EXPECT_FLOAT_EQ(tape.value(tape.sum_cols(c)).at(1, 0), 7.0F);
 }
 
@@ -271,12 +328,8 @@ TEST(GradCheck, AddBias) {
   });
 }
 
-TEST(GradCheck, BroadcastRowsAndCols) {
+TEST(GradCheck, BroadcastCols) {
   util::Rng rng(6);
-  Parameter p(random_tensor(1, 3, rng));
-  grad_check(p, [&](Tape& t, Var x) {
-    return t.sum_all(t.square(t.broadcast_rows(x, 5)));
-  });
   Parameter q(random_tensor(1, 1, rng));
   grad_check(q, [&](Tape& t, Var x) {
     return t.sum_all(t.square(t.broadcast_cols(x, 4)));
@@ -298,8 +351,9 @@ TEST(GradCheck, GatherAndSegmentSum) {
   util::Rng rng(8);
   Parameter p(random_tensor(4, 2, rng));
   grad_check(p, [&](Tape& t, Var x) {
-    const Var gathered = t.gather_rows(x, {0, 2, 2, 3});
-    const Var pooled = t.segment_sum(gathered, {0, 1, 1, 0}, 2);
+    const Var gathered = t.gather_rows(x, shared_ids({0, 2, 2, 3}));
+    const Var pooled =
+        t.segment_sum(gathered, segment_plan({0, 1, 1, 0}, 2));
     return t.sum_all(t.square(pooled));
   });
 }
@@ -342,14 +396,11 @@ TEST(GradCheck, ClipInteriorOnly) {
   });
 }
 
-TEST(GradCheck, SumColsAndRows) {
+TEST(GradCheck, SumCols) {
   util::Rng rng(10);
   Parameter p(random_tensor(3, 4, rng));
   grad_check(p, [&](Tape& t, Var x) {
-    const Var rows = t.sum_rows(x);        // 1x4
-    const Var cols = t.sum_cols(x);        // 3x1
-    return t.add(t.sum_all(t.square(rows)),
-                 t.sum_all(t.square(cols)));
+    return t.sum_all(t.square(t.sum_cols(x)));  // 3x1
   });
 }
 
@@ -444,7 +495,7 @@ TEST(Aliasing, GatherRowsRepeatedIndices) {
   // Row 0 gathered twice: its gradient must be 2, rows 1/2 get 1 and 0.
   Tape tape;
   const Var x = tape.leaf(p);
-  const Var y = tape.gather_rows(x, std::vector<int>{0, 0, 1});
+  const Var y = tape.gather_rows(x, shared_ids({0, 0, 1}));
   p.zero_grad();
   tape.backward(tape.sum_all(y));
   for (int c = 0; c < 2; ++c) {
@@ -460,7 +511,7 @@ TEST(Aliasing, SegmentSumDuplicateIdsAccumulate) {
   Tape tape;
   const Var x = tape.leaf(p);
   // Rows 0, 1 and 3 land in segment 0; row 2 alone in segment 1.
-  const Var y = tape.segment_sum(x, std::vector<int>{0, 0, 1, 0}, 2);
+  const Var y = tape.segment_sum(x, segment_plan({0, 0, 1, 0}, 2));
   const Tensor& v = tape.value(y);
   for (int c = 0; c < 2; ++c) {
     EXPECT_FLOAT_EQ(v.at(0, c), p.value.at(0, c) + p.value.at(1, c) +

@@ -2,9 +2,13 @@
 
 #include <cmath>
 
+#include "core/iterative_env.hpp"
 #include "core/policies.hpp"
+#include "core/routing_env.hpp"
+#include "rl/forward.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
+#include "topo/zoo.hpp"
 
 namespace gddr::rl {
 namespace {
@@ -217,6 +221,88 @@ TEST(Ppo, RewardScaleAppliedToValueTargetsNotStats) {
   const auto stats = trainer.train_iteration();
   // mean_episode_reward reports unscaled rewards (around -25 * 8 steps).
   EXPECT_LT(stats.mean_episode_reward, -50.0);
+}
+
+// ---------------- inference forwards ----------------
+
+core::ScenarioParams tiny_scenario_params() {
+  core::ScenarioParams p;
+  p.sequence_length = 12;
+  p.cycle_length = 4;
+  p.train_sequences = 1;
+  p.test_sequences = 1;
+  return p;
+}
+
+// Steps `env` with a constant action and returns its first `count`
+// observations (distinct demand windows on one topology).
+std::vector<Observation> observations(Env& env, int count) {
+  std::vector<Observation> out{env.reset()};
+  const std::vector<double> action(static_cast<std::size_t>(env.action_dim()),
+                                   0.1);
+  while (static_cast<int>(out.size()) < count) {
+    out.push_back(env.step(action).obs);
+  }
+  return out;
+}
+
+void expect_rows_match_action_mean(Policy& policy,
+                                   const std::vector<Observation>& obs) {
+  std::vector<const Observation*> ptrs;
+  for (const Observation& o : obs) ptrs.push_back(&o);
+  const std::vector<std::vector<double>> rows =
+      forward_action_means(policy, ptrs);
+  ASSERT_EQ(rows.size(), obs.size());
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    nn::Tape tape;
+    const nn::Tensor& mean = tape.value(policy.action_mean(tape, obs[i]));
+    ASSERT_EQ(rows[i].size(), static_cast<std::size_t>(mean.cols()));
+    for (int j = 0; j < mean.cols(); ++j) {
+      EXPECT_EQ(rows[i][static_cast<std::size_t>(j)], mean.at(0, j))
+          << "row " << i << " col " << j;
+    }
+    EXPECT_EQ(forward_action_mean(policy, obs[i]), rows[i]);
+  }
+}
+
+// Policies without a stacked path still get one row per observation.
+TEST(ForwardActionMeans, MlpPolicyRowsEqualPerObservationMeans) {
+  util::Rng rng(30);
+  const std::vector<core::Scenario> scenarios{core::make_scenario(
+      topo::by_name("SmallRing"), tiny_scenario_params(), rng)};
+  core::EnvConfig env_cfg;
+  env_cfg.memory = 2;
+  core::RoutingEnv env(scenarios, env_cfg, 31);
+  const int n = env.current_graph().num_nodes();
+  core::MlpPolicy policy(env_cfg.memory * n * n, env.action_dim(),
+                         core::MlpPolicyConfig{}, rng);
+  expect_rows_match_action_mean(policy, observations(env, 3));
+}
+
+TEST(ForwardActionMeans, IterativeGnnPolicyRowsEqualPerObservationMeans) {
+  util::Rng rng(32);
+  const std::vector<core::Scenario> scenarios{core::make_scenario(
+      topo::by_name("SmallRing"), tiny_scenario_params(), rng)};
+  core::IterativeEnvConfig env_cfg;
+  env_cfg.memory = 2;
+  core::IterativeRoutingEnv env(scenarios, env_cfg, 33);
+  core::IterativeGnnPolicyConfig pcfg;
+  pcfg.memory = env_cfg.memory;
+  core::IterativeGnnPolicy policy(pcfg, rng);
+  expect_rows_match_action_mean(policy, observations(env, 3));
+}
+
+TEST(ForwardActionMeans, GnnPolicyStackedRowsEqualPerObservationMeans) {
+  util::Rng rng(34);
+  const std::vector<core::Scenario> scenarios{core::make_scenario(
+      topo::by_name("Abilene"), tiny_scenario_params(), rng)};
+  core::EnvConfig env_cfg;
+  env_cfg.memory = 2;
+  core::RoutingEnv env(scenarios, env_cfg, 35);
+  core::GnnPolicyConfig pcfg;
+  pcfg.memory = env_cfg.memory;
+  core::GnnPolicy policy(pcfg, rng);
+  expect_rows_match_action_mean(policy, observations(env, 3));
 }
 
 }  // namespace

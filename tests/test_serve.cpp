@@ -2,7 +2,8 @@
 // tokens, timeout unwedging), deadline budget checkpoints, inbound-demand
 // sanitisation (mutually exclusive repair buckets), the thread-safe
 // per-topology cache (entries pinned across eviction), the RobustRouter
-// degradation ladder, and the concurrent batched serving engine.
+// degradation ladder, the concurrent batched serving engine, and the
+// mean-only inference forward that evaluation and rung 1 share.
 //
 // Time-dependent breaker tests replay explicit steady_clock schedules —
 // never sleeping — so they are exact and fast.  Concurrency tests (cache
@@ -22,9 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/evaluate.hpp"
 #include "core/experiment.hpp"
 #include "core/policies.hpp"
+#include "core/routing_env.hpp"
 #include "obs/metrics.hpp"
+#include "rl/ppo.hpp"
 #include "routing/routing.hpp"
 #include "serve/breaker.hpp"
 #include "serve/deadline.hpp"
@@ -1390,6 +1394,111 @@ TEST(Engine, ShedPolicyNamesRoundTrip) {
   EXPECT_TRUE(serve::parse_shed_policy("reject-newest", policy));
   EXPECT_EQ(policy, ShedPolicy::kRejectNewest);
   EXPECT_FALSE(serve::parse_shed_policy("drop-everything", policy));
+}
+
+// ---------------- mean-only inference ----------------
+
+// Forwards every call to the wrapped policy and counts the forwards, so a
+// test can prove which networks an inference path runs.
+class CountingPolicy final : public rl::Policy {
+ public:
+  explicit CountingPolicy(rl::Policy& inner) : inner_(inner) {}
+
+  int action_dim(const rl::Observation& obs) const override {
+    return inner_.action_dim(obs);
+  }
+  nn::Tape::Var action_mean(nn::Tape& tape,
+                            const rl::Observation& obs) override {
+    ++mean_calls;
+    return inner_.action_mean(tape, obs);
+  }
+  nn::Tape::Var value(nn::Tape& tape, const rl::Observation& obs) override {
+    ++value_calls;
+    return inner_.value(tape, obs);
+  }
+  nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override {
+    return inner_.log_std_row(tape, action_dim);
+  }
+  std::vector<nn::Parameter*> parameters() override {
+    return inner_.parameters();
+  }
+  std::string name() const override { return inner_.name(); }
+  bool action_means(nn::Tape& tape,
+                    const std::vector<const rl::Observation*>& obs,
+                    nn::Tape::Var& out) override {
+    ++stacked_calls;
+    return inner_.action_means(tape, obs, out);
+  }
+
+  std::atomic<long> mean_calls{0};
+  std::atomic<long> value_calls{0};
+  std::atomic<long> stacked_calls{0};
+
+ private:
+  rl::Policy& inner_;
+};
+
+TEST(MeanOnlyInference, EvaluatePolicyNeverRunsTheValueNet) {
+  util::Rng rng(40);
+  core::ScenarioParams params;
+  params.sequence_length = 12;
+  params.cycle_length = 4;
+  params.train_sequences = 1;
+  params.test_sequences = 1;
+  const std::vector<core::Scenario> scenarios{
+      core::make_scenario(topo::by_name("SmallRing"), params, rng)};
+  core::EnvConfig env_cfg;
+  env_cfg.memory = 2;
+  core::RoutingEnv env(scenarios, env_cfg, 41);
+  core::GnnPolicyConfig pcfg;
+  pcfg.memory = env_cfg.memory;
+  core::GnnPolicy inner(pcfg, rng);
+  CountingPolicy policy(inner);
+  rl::PpoTrainer trainer(policy, env, rl::PpoConfig{}, 42);
+
+  const core::EvalResult eval = core::evaluate_policy(trainer, env);
+  EXPECT_GT(eval.steps, 0);
+  EXPECT_EQ(policy.mean_calls.load(), eval.steps);
+  EXPECT_EQ(policy.value_calls.load(), 0);
+}
+
+TEST(MeanOnlyInference, RungOneDecideNeverRunsTheValueNet) {
+  util::Rng rng(7);
+  core::GnnPolicy inner(core::experiment_gnn_config(5), rng);
+  CountingPolicy policy(inner);
+  RobustRouter router(&policy, test_router_config());
+  const auto g = topo::abilene();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(router.decide(make_request(g, 1.0 + i)).rung, Rung::kGnnPolicy);
+  }
+  // Each lone request is one stacked forward of a batch of one.
+  EXPECT_EQ(policy.stacked_calls.load(), 3);
+  EXPECT_EQ(policy.value_calls.load(), 0);
+}
+
+TEST(MeanOnlyInference, LoneDecideEqualsBatchOfOne) {
+  util::Rng rng(7);
+  core::GnnPolicy policy(core::experiment_gnn_config(5), rng);
+  RobustRouter lone(&policy, test_router_config());
+  RobustRouter batched(&policy, test_router_config());
+  const auto g = topo::abilene();
+  for (int i = 0; i < 3; ++i) {
+    const RouteRequest request = make_request(g, 0.7 + i);
+    const auto a = lone.decide(request);
+    const auto batch = batched.decide_batch({&request});
+    ASSERT_EQ(batch.size(), 1U);
+    const auto& b = batch.front();
+    EXPECT_EQ(a.rung, Rung::kGnnPolicy);
+    EXPECT_EQ(a.rung, b.rung);
+    EXPECT_EQ(a.sim.u_max, b.sim.u_max);
+    EXPECT_EQ(a.sim.link_load, b.sim.link_load);
+    for (int s = 0; s < g.num_nodes(); ++s) {
+      for (int t = 0; t < g.num_nodes(); ++t) {
+        if (s == t) continue;
+        EXPECT_EQ(a.routing.flow_ratios(s, t), b.routing.flow_ratios(s, t));
+      }
+    }
+  }
 }
 
 }  // namespace
