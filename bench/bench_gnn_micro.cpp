@@ -13,8 +13,8 @@
 // Two modes:
 //   (default)  Google-Benchmark suite.
 //   --json     CI smoke: asserts the optimized kernels reproduce the
-//              naive reference exactly (== on every element, including
-//              across 1/2/4 pool workers), asserts the arena reaches a
+//              naive reference exactly (== on every element), asserts
+//              the arena reaches a
 //              steady state with zero new allocations, times the
 //              forward+backward hot loop, and writes BENCH_gnn_micro.json
 //              stamped with the CMake build type and sanitizer list.  The
@@ -38,7 +38,6 @@
 #include "topo/zoo.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 #ifndef GDDR_BUILD_TYPE
 #define GDDR_BUILD_TYPE "unknown"
@@ -133,17 +132,14 @@ double now_seconds() {
 }
 
 // Checks every element of the optimized kernels against the naive
-// reference (exact ==), serially and through pools of 2 and 4 workers.
-// Returns false and prints the first offending shape on mismatch.
+// reference (exact ==).  Returns false and prints the first offending
+// shape on mismatch.
 bool kernels_match_reference() {
   // Shapes chosen to cover the GNN's hot sizes plus tails: odd dims,
   // k not a multiple of the unroll, single rows/cols.
   const int shapes[][3] = {{74, 66, 32}, {74, 32, 1},  {24, 66, 32},
                            {200, 64, 64}, {1, 32, 32}, {7, 5, 3},
                            {33, 17, 9},   {1, 1, 1}};
-  util::ThreadPool pool2(2);
-  util::ThreadPool pool4(4);
-  util::ThreadPool* pools[] = {nullptr, &pool2, &pool4};
   for (const auto& s : shapes) {
     const int m = s[0];
     const int k = s[1];
@@ -168,27 +164,20 @@ bool kernels_match_reference() {
     std::vector<float> gw_ref(static_cast<std::size_t>(k) * n, 0.25F);
     nn::kernels::ref::matmul_tn_acc(m, k, n, a.data(), g.data(),
                                     gw_ref.data());
-    for (util::ThreadPool* pool : pools) {
-      std::vector<float> c(static_cast<std::size_t>(m) * n);
-      nn::kernels::matmul_nn(m, k, n, a.data(), b.data(), c.data(), pool);
-      std::vector<float> gx(static_cast<std::size_t>(m) * k, 0.25F);
-      nn::kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx.data(),
-                                 pool);
-      std::vector<float> gw(static_cast<std::size_t>(k) * n, 0.25F);
-      nn::kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw.data(),
-                                 pool);
-      if (std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)) !=
-              0 ||
-          std::memcmp(gx.data(), gx_ref.data(),
-                      gx.size() * sizeof(float)) != 0 ||
-          std::memcmp(gw.data(), gw_ref.data(),
-                      gw.size() * sizeof(float)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: kernel mismatch vs reference at %dx%dx%d "
-                     "(workers=%d)\n",
-                     m, k, n, pool == nullptr ? 1 : pool->size());
-        return false;
-      }
+    std::vector<float> c(static_cast<std::size_t>(m) * n);
+    nn::kernels::matmul_nn(m, k, n, a.data(), b.data(), c.data());
+    std::vector<float> gx(static_cast<std::size_t>(m) * k, 0.25F);
+    nn::kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx.data());
+    std::vector<float> gw(static_cast<std::size_t>(k) * n, 0.25F);
+    nn::kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw.data());
+    if (std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)) != 0 ||
+        std::memcmp(gx.data(), gx_ref.data(), gx.size() * sizeof(float)) !=
+            0 ||
+        std::memcmp(gw.data(), gw_ref.data(), gw.size() * sizeof(float)) !=
+            0) {
+      std::fprintf(stderr, "FAIL: kernel mismatch vs reference at %dx%dx%d\n",
+                   m, k, n);
+      return false;
     }
   }
   return true;
@@ -198,7 +187,7 @@ int run_json_smoke() {
   std::printf("=== GNN micro smoke: kernel correctness + steady state ===\n");
 
   const bool kernels_ok = kernels_match_reference();
-  std::printf("optimized kernels == naive reference (1/2/4 workers): %s\n",
+  std::printf("optimized kernels == naive reference: %s\n",
               kernels_ok ? "yes" : "NO — MISMATCH");
 
   const Scenario scenario = tiny_scenario("GeantLike");
@@ -248,7 +237,6 @@ int run_json_smoke() {
       json, sizeof(json),
       "{\n"
       "  \"kernels_match_reference\": %s,\n"
-      "  \"worker_counts_checked\": [1, 2, 4],\n"
       "  \"forward_backward_us\": %.3f,\n"
       "  \"forward_backward_iters\": %d,\n"
       "  \"topology\": \"GeantLike\",\n"

@@ -1,7 +1,8 @@
 // Parallel-engine smoke benchmark: measures the wall-clock speedup of the
-// two parallel phases (vectorised experience collection and per-unit
-// evaluation) at 1 vs 4 workers, and checks the determinism contract —
-// the 4-worker run must be bit-identical to the serial one.
+// three parallel phases (vectorised experience collection, per-unit
+// evaluation and the sharded PPO update) at 1 vs 4 workers, and checks the
+// determinism contract — the 4-worker run must be bit-identical to the
+// serial one.
 //
 // Writes the measurements to BENCH_parallel.json in the working directory.
 #include <algorithm>
@@ -10,10 +11,11 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
-#include "nn/kernels.hpp"
+#include "nn/optimizer.hpp"
 #include "util/fs.hpp"
 
 #include "core/evaluate.hpp"
@@ -21,6 +23,7 @@
 #include "core/experiment.hpp"
 #include "core/policies.hpp"
 #include "core/routing_env.hpp"
+#include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/vec_env.hpp"
 #include "routing/baselines.hpp"
@@ -88,48 +91,54 @@ struct EvalRun {
   double seconds = 0.0;
 };
 
-// The pool-sharded matmul kernels under the tape carry the same
-// determinism contract as the phases above: any worker count must
-// reproduce the serial bytes exactly.  Checks all three variants on a
-// shape large enough to cross the parallel gates.
-bool kernels_bit_identical_across_workers() {
-  const int m = 64;
-  const int k = 64;
-  const int n = 64;
-  std::vector<float> a(static_cast<std::size_t>(m) * k);
-  std::vector<float> b(static_cast<std::size_t>(k) * n);
-  std::vector<float> g(static_cast<std::size_t>(m) * n);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = 0.01F * static_cast<float>(i % 23) - 0.1F;
+struct UpdateRun {
+  std::vector<nn::Tensor> params;
+  int minibatches = 0;
+  double seconds = 0.0;
+};
+
+// The PPO update over one collected rollout: every minibatch's sharded
+// gradient (rl::MinibatchGradient) on a pool of `workers`, then gradient
+// clipping and an Adam step, for the configured number of epochs.  A fresh
+// policy per run, so the two worker counts start from the same weights.
+UpdateRun run_update(const rl::RolloutBuffer& rollout, int workers) {
+  util::ThreadPool pool(workers);
+  util::Rng prng(13);
+  GnnPolicy policy(experiment_gnn_config(5), prng);
+  const rl::PpoConfig ppo = routing_ppo_config();
+  rl::RolloutBuffer buffer = rollout;
+  buffer.compute_gae(ppo.gamma, ppo.gae_lambda, 0.0, ppo.normalize_advantages);
+  std::vector<const rl::StepSample*> samples;
+  for (const rl::StepSample& s : buffer.samples()) samples.push_back(&s);
+  rl::MinibatchGradient gradient(policy, ppo);
+  const std::vector<nn::Parameter*> params = policy.parameters();
+  nn::Adam adam(ppo.learning_rate);
+
+  UpdateRun run;
+  const auto batch = static_cast<std::size_t>(ppo.minibatch_size);
+  const double start = now_seconds();
+  for (int epoch = 0; epoch < ppo.epochs; ++epoch) {
+    for (std::size_t first = 0; first < samples.size(); first += batch) {
+      const std::span<const rl::StepSample* const> all(samples);
+      gradient.compute(
+          all.subspan(first, std::min(batch, samples.size() - first)), &pool);
+      nn::clip_grad_norm(params, ppo.max_grad_norm);
+      adam.step(params);
+      ++run.minibatches;
+    }
   }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = 0.02F * static_cast<float>(i % 19) - 0.15F;
-  }
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] = 0.03F * static_cast<float>(i % 17) - 0.2F;
-  }
-  std::vector<float> c_serial(static_cast<std::size_t>(m) * n);
-  std::vector<float> gx_serial(static_cast<std::size_t>(m) * k, 0.0F);
-  std::vector<float> gw_serial(static_cast<std::size_t>(k) * n, 0.0F);
-  nn::kernels::matmul_nn(m, k, n, a.data(), b.data(), c_serial.data());
-  nn::kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx_serial.data());
-  nn::kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw_serial.data());
-  for (const std::size_t workers : {2U, 4U}) {
-    util::ThreadPool pool(workers);
-    std::vector<float> c(c_serial.size());
-    std::vector<float> gx(gx_serial.size(), 0.0F);
-    std::vector<float> gw(gw_serial.size(), 0.0F);
-    nn::kernels::matmul_nn(m, k, n, a.data(), b.data(), c.data(), &pool);
-    nn::kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx.data(),
-                               &pool);
-    nn::kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw.data(),
-                               &pool);
-    if (std::memcmp(c.data(), c_serial.data(),
-                    c.size() * sizeof(float)) != 0 ||
-        std::memcmp(gx.data(), gx_serial.data(),
-                    gx.size() * sizeof(float)) != 0 ||
-        std::memcmp(gw.data(), gw_serial.data(),
-                    gw.size() * sizeof(float)) != 0) {
+  run.seconds = now_seconds() - start;
+  for (const nn::Parameter* p : params) run.params.push_back(p->value);
+  return run;
+}
+
+bool parameters_identical(const UpdateRun& a, const UpdateRun& b) {
+  if (a.params.size() != b.params.size()) return false;
+  for (std::size_t i = 0; i < a.params.size(); ++i) {
+    const auto x = a.params[i].data();
+    const auto y = b.params[i].data();
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) != 0) {
       return false;
     }
   }
@@ -179,12 +188,7 @@ int main(int argc, char** argv) {
   const Scenario eval_scenario =
       make_scenario(topo::abilene_heterogeneous(), params, rng2);
 
-  std::printf("\n[0/2] matmul kernels, 1 vs 2 vs 4 workers...\n");
-  const bool kernels_identical = kernels_bit_identical_across_workers();
-  std::printf("  outputs bit-identical: %s\n",
-              kernels_identical ? "yes" : "NO — DETERMINISM VIOLATION");
-
-  std::printf("\n[1/2] vectorised collection: %d envs x %d steps...\n",
+  std::printf("\n[1/3] vectorised collection: %d envs x %d steps...\n",
               kVecEnvs, kStepsPerEnv);
   const CollectRun collect_serial = run_collection(train_scenario, 1);
   const CollectRun collect_parallel =
@@ -201,7 +205,7 @@ int main(int argc, char** argv) {
   std::printf("  buffers bit-identical: %s\n",
               collect_identical ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  std::printf("\n[2/2] parallel evaluation: %d test sequences...\n",
+  std::printf("\n[2/3] parallel evaluation: %d test sequences...\n",
               kEvalTestSequences);
   const EvalRun eval_serial = run_evaluation(eval_scenario, 1);
   const EvalRun eval_parallel = run_evaluation(eval_scenario, parallel_workers);
@@ -219,13 +223,30 @@ int main(int argc, char** argv) {
               eval_serial.result.mean_ratio, eval_parallel.result.mean_ratio,
               eval_identical ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  const double best_speedup = std::max(collect_speedup, eval_speedup);
+  std::printf("\n[3/3] PPO update over the collected rollout...\n");
+  const UpdateRun update_serial = run_update(collect_serial.buffer, 1);
+  const UpdateRun update_parallel =
+      run_update(collect_serial.buffer, parallel_workers);
+  const bool update_identical =
+      parameters_identical(update_serial, update_parallel);
+  const double update_speedup =
+      update_parallel.seconds > 0.0
+          ? update_serial.seconds / update_parallel.seconds
+          : 0.0;
+  std::printf("  %d minibatches; 1 worker: %.3fs, %d workers: %.3fs  ->  "
+              "%.2fx speedup\n",
+              update_serial.minibatches, update_serial.seconds,
+              parallel_workers, update_parallel.seconds, update_speedup);
+  std::printf("  parameters bit-identical: %s\n",
+              update_identical ? "yes" : "NO — DETERMINISM VIOLATION");
+
+  const double best_speedup =
+      std::max({collect_speedup, eval_speedup, update_speedup});
   char json[2048];
   std::snprintf(
       json, sizeof(json),
       "{\n"
         "  \"workers\": %d,\n"
-        "  \"kernels_bit_identical\": %s,\n"
         "  \"hardware_concurrency\": %u,\n"
         "  \"vec_envs\": %d,\n"
         "  \"collection\": {\n"
@@ -243,16 +264,26 @@ int main(int argc, char** argv) {
         "    \"bit_identical\": %s,\n"
         "    \"mean_ratio\": %.9f\n"
         "  },\n"
+        "  \"update\": {\n"
+        "    \"minibatches\": %d,\n"
+        "    \"serial_seconds\": %.6f,\n"
+        "    \"parallel_seconds\": %.6f,\n"
+        "    \"speedup\": %.3f,\n"
+        "    \"bit_identical\": %s\n"
+        "  },\n"
         "  \"best_speedup\": %.3f,\n"
         "  \"meets_2x_target\": %s,\n"
         "  \"note\": \"%s\"\n"
         "}\n",
-        parallel_workers, kernels_identical ? "true" : "false", hardware,
+        parallel_workers, hardware,
         kVecEnvs, kStepsPerEnv,
         collect_serial.seconds, collect_parallel.seconds, collect_speedup,
         collect_identical ? "true" : "false", kEvalTestSequences,
         eval_serial.seconds, eval_parallel.seconds, eval_speedup,
         eval_identical ? "true" : "false", eval_serial.result.mean_ratio,
+        update_serial.minibatches, update_serial.seconds,
+        update_parallel.seconds, update_speedup,
+        update_identical ? "true" : "false",
         best_speedup, best_speedup >= 2.0 ? "true" : "false",
       hardware >= 2
           ? "speedup measured against the inline serial path"
@@ -270,7 +301,7 @@ int main(int argc, char** argv) {
   const std::string metrics_summary = obs::finish(metrics);
   if (!metrics_summary.empty()) std::printf("%s\n", metrics_summary.c_str());
 
-  const bool ok = collect_identical && eval_identical && kernels_identical;
+  const bool ok = collect_identical && eval_identical && update_identical;
   if (!ok) std::fprintf(stderr, "FAIL: determinism contract violated\n");
   return ok ? 0 : 1;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -58,8 +57,8 @@ bool spec_matches(const GraphSpec& spec, const rl::Observation& obs,
 }
 
 // Most runs train and serve on a handful of topologies, each observed
-// thousands of times at batch 1 plus a few serving batch sizes; beyond
-// this the cache resets rather than growing unboundedly.
+// thousands of times at batch 1 plus a few update-shard and serving batch
+// sizes; beyond this the cache resets rather than growing unboundedly.
 constexpr std::size_t kSpecCacheCap = 128;
 
 // Returns the GraphSpec stacking `batch` copies of the observation's
@@ -87,24 +86,13 @@ const GraphSpec& cached_spec(const rl::Observation& obs, int batch) {
   return cache.back()->spec;
 }
 
-// One encode-process-decode forward of `net` over the observations stacked
-// as disjoint copies of their shared graph (the caller guarantees shared
-// connectivity and attribute shapes).  Copy b's attribute rows sit at
-// offset b * rows in the stacked tensors; a single observation is a batch
-// of one, whose inputs are plain arena copies of its tensors.
-GraphVars forward_stacked(gnn::EncodeProcessDecode& net, Tape& tape,
-                          std::span<const rl::Observation* const> obs) {
-  const int batch = static_cast<int>(obs.size());
-  const GraphSpec& spec = cached_spec(*obs.front(), batch);
-  const auto stack = [&](const Tensor rl::Observation::* member) {
-    return tape.stack_rows(
-        batch, [&](int b) -> const Tensor& {
-          return obs[static_cast<std::size_t>(b)]->*member;
-        });
-  };
-  const GraphVars in{stack(&rl::Observation::nodes),
-                     stack(&rl::Observation::edges),
-                     stack(&rl::Observation::globals)};
+// One encode-process-decode forward of `net` over the observation's
+// obs.batch stacked copies; a single observation is a batch of one.
+GraphVars forward_graph(gnn::EncodeProcessDecode& net, Tape& tape,
+                        const rl::Observation& obs) {
+  const GraphSpec& spec = cached_spec(obs, obs.batch);
+  const GraphVars in{tape.constant(obs.nodes), tape.constant(obs.edges),
+                     tape.constant(obs.globals)};
   return net.forward(tape, spec, in);
 }
 
@@ -122,26 +110,29 @@ MlpPolicy::MlpPolicy(int obs_dim, int action_dim,
                       static_cast<float>(config.init_log_std))) {}
 
 int MlpPolicy::action_dim(const rl::Observation& obs) const {
-  if (static_cast<int>(obs.flat.size()) != obs_dim_) {
+  if (obs.batch < 1 ||
+      obs.flat.size() != static_cast<std::size_t>(obs.batch) *
+                             static_cast<std::size_t>(obs_dim_)) {
     throw std::invalid_argument(
         "MlpPolicy: observation size " + std::to_string(obs.flat.size()) +
-        " != configured " + std::to_string(obs_dim_) +
+        " != batch " + std::to_string(obs.batch) + " x configured " +
+        std::to_string(obs_dim_) +
         " (MLP policies are fixed to one topology)");
   }
   return action_dim_;
 }
 
-Tape::Var MlpPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
+Tape::Var MlpPolicy::input(Tape& tape, const rl::Observation& obs) const {
   (void)action_dim(obs);  // validates the observation size
-  const Tape::Var x = tape.constant(Tensor::row(
-      std::span<const double>(obs.flat.data(), obs.flat.size())));
-  return pi_.forward(tape, x);
+  return tape.constant(obs.batch, obs_dim_, obs.flat);  // one row per copy
+}
+
+Tape::Var MlpPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
+  return pi_.forward(tape, input(tape, obs));
 }
 
 Tape::Var MlpPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const Tape::Var x = tape.constant(Tensor::row(
-      std::span<const double>(obs.flat.data(), obs.flat.size())));
-  return vf_.forward(tape, x);
+  return vf_.forward(tape, input(tape, obs));
 }
 
 Tape::Var MlpPolicy::log_std_row(Tape& tape, int adim) {
@@ -202,37 +193,14 @@ int GnnPolicy::action_dim(const rl::Observation& obs) const {
 }
 
 Tape::Var GnnPolicy::action_mean(Tape& tape, const rl::Observation& obs) {
-  const rl::Observation* one[] = {&obs};
-  const GraphVars out = forward_stacked(pi_, tape, one);
-  // Decoded edge attributes (E x 1) -> action row (1 x E).
-  return tape.reshape(out.edges, 1, action_dim(obs));
-}
-
-bool GnnPolicy::action_means(Tape& tape,
-                             const std::vector<const rl::Observation*>& obs,
-                             Tape::Var& out) {
-  if (obs.empty()) return false;
-  const rl::Observation& first = *obs.front();
-  for (const rl::Observation* o : obs) {
-    if (o->num_nodes != first.num_nodes || o->senders != first.senders ||
-        o->receivers != first.receivers ||
-        !o->nodes.same_shape(first.nodes) ||
-        !o->edges.same_shape(first.edges) ||
-        !o->globals.same_shape(first.globals)) {
-      return false;
-    }
-  }
-  const GraphVars decoded = forward_stacked(pi_, tape, obs);
   // Decoded stacked edge attributes (batch*E x 1) -> one action row per
   // copy (batch x E): row-major reshape keeps copy b's E edges on row b.
-  out = tape.reshape(decoded.edges, static_cast<int>(obs.size()),
-                     action_dim(first));
-  return true;
+  const GraphVars out = forward_graph(pi_, tape, obs);
+  return tape.reshape(out.edges, obs.batch, action_dim(obs));
 }
 
 Tape::Var GnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const rl::Observation* one[] = {&obs};
-  return forward_stacked(vf_, tape, one).globals;  // 1 x 1
+  return forward_graph(vf_, tape, obs).globals;  // batch x 1
 }
 
 Tape::Var GnnPolicy::log_std_row(Tape& tape, int adim) {
@@ -287,13 +255,11 @@ IterativeGnnPolicy::IterativeGnnPolicy(const IterativeGnnPolicyConfig& config,
 
 Tape::Var IterativeGnnPolicy::action_mean(Tape& tape,
                                           const rl::Observation& obs) {
-  const rl::Observation* one[] = {&obs};
-  return forward_stacked(pi_, tape, one).globals;  // 1 x 2
+  return forward_graph(pi_, tape, obs).globals;  // batch x 2
 }
 
 Tape::Var IterativeGnnPolicy::value(Tape& tape, const rl::Observation& obs) {
-  const rl::Observation* one[] = {&obs};
-  return forward_stacked(vf_, tape, one).globals;  // 1 x 1
+  return forward_graph(vf_, tape, obs).globals;  // batch x 1
 }
 
 Tape::Var IterativeGnnPolicy::log_std_row(Tape& tape, int adim) {

@@ -15,6 +15,8 @@
 //
 // Every policy owns a separate value network of the same family plus a
 // state-independent log-std (scalar for variable-dimension actions).
+// Each answers a stacked observation (rl::Observation::batch copies) with
+// one action/value row per copy from a single forward.
 #pragma once
 
 #include <memory>
@@ -50,6 +52,9 @@ class MlpPolicy final : public rl::Policy {
   std::size_t num_parameters() const;
 
  private:
+  // The obs.batch x obs_dim input rows, copied through the tape's arena.
+  nn::Tape::Var input(nn::Tape& tape, const rl::Observation& obs) const;
+
   int obs_dim_;
   int action_dim_;
   nn::Mlp pi_;
@@ -81,14 +86,6 @@ class GnnPolicy final : public rl::Policy {
   nn::Tape::Var log_std_row(nn::Tape& tape, int action_dim) override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return "GNN"; }
-
-  // Serving micro-batches: stacks same-topology observations into one
-  // disjoint-copies graph and runs a single encode-process-decode
-  // forward.  Row b of `out` is bit-identical to action_mean(*obs[b]).
-  // Returns false when the observations do not share connectivity.
-  bool action_means(nn::Tape& tape,
-                    const std::vector<const rl::Observation*>& obs,
-                    nn::Tape::Var& out) override;
 
   std::size_t num_parameters() const;
 

@@ -8,8 +8,6 @@
 #include <emmintrin.h>
 #endif
 
-#include "util/thread_pool.hpp"
-
 namespace gddr::nn::kernels {
 
 namespace {
@@ -25,8 +23,8 @@ constexpr int kNr = 8;   // Panel width / accumulator width.
 constexpr int kKu = 8;   // k-unroll of the NN kernel's AXPY chain.
 
 // Per-thread packing scratch, reused across calls so packing performs no
-// steady-state allocation.  Workers of a pooled matmul only *read* the
-// caller's packed panels; each thread packs into its own buffer.
+// steady-state allocation; tapes running on different threads (update
+// shards, collector and serving workers) each pack into their own.
 std::vector<float>& pack_buffer() {
   thread_local std::vector<float> buf;
   return buf;
@@ -202,26 +200,6 @@ void matmul_tn_rows(int k0, int k1, int m, int k, int n,
   }
 }
 
-// Shards [0, rows) across the pool in fixed kRowsPerTask blocks when the
-// kernel is big enough; otherwise runs fn(0, rows) inline.  The block
-// decomposition never depends on the worker count.
-template <typename Fn>
-void shard_rows(util::ThreadPool* pool, int rows, std::size_t flops,
-                const Fn& fn) {
-  if (pool == nullptr || pool->size() <= 1 || rows <= kRowsPerTask ||
-      flops < kParallelMinFlops) {
-    fn(0, rows);
-    return;
-  }
-  const auto tasks =
-      static_cast<std::size_t>((rows + kRowsPerTask - 1) / kRowsPerTask);
-  util::parallel_for(pool, tasks, [&](std::size_t t) {
-    const int i0 = static_cast<int>(t) * kRowsPerTask;
-    const int i1 = std::min(rows, i0 + kRowsPerTask);
-    fn(i0, i1);
-  });
-}
-
 std::size_t flops_of(int m, int k, int n) {
   return static_cast<std::size_t>(m) * static_cast<std::size_t>(k) *
          static_cast<std::size_t>(n);
@@ -229,20 +207,18 @@ std::size_t flops_of(int m, int k, int n) {
 
 }  // namespace
 
-void matmul_nn(int m, int k, int n, const float* a, const float* b, float* c,
-               util::ThreadPool* pool) {
+void matmul_nn(int m, int k, int n, const float* a, const float* b,
+               float* c) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     std::fill(c, c + static_cast<std::size_t>(m) * n, 0.0F);
     return;
   }
-  shard_rows(pool, m, flops_of(m, k, n), [&](int i0, int i1) {
-    matmul_nn_rows(i0, i1, k, n, a, b, c);
-  });
+  matmul_nn_rows(0, m, k, n, a, b, c);
 }
 
 void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
-                   float* c, util::ThreadPool* pool) {
+                   float* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
   // Tiny products don't amortise the B^T packing pass; the reference
   // loop accumulates in the identical per-element order, so falling back
@@ -254,17 +230,13 @@ void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
   std::vector<float>& packed = pack_buffer();
   pack_panels_transposed(k, n, b, packed);
   const float* bp = packed.data();
-  shard_rows(pool, m, flops_of(m, k, n), [&](int i0, int i1) {
-    matmul_nt_rows(i0, i1, n, k, g, bp, c);
-  });
+  matmul_nt_rows(0, m, n, k, g, bp, c);
 }
 
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* g,
-                   float* c, util::ThreadPool* pool) {
+                   float* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
-  shard_rows(pool, k, flops_of(m, k, n), [&](int k0, int k1) {
-    matmul_tn_rows(k0, k1, m, k, n, a, g, c);
-  });
+  matmul_tn_rows(0, k, m, k, n, a, g, c);
 }
 
 void bias_act(int rows, int cols, const float* x, const float* bias, float* y,
@@ -439,6 +411,7 @@ Tensor TensorArena::take(std::size_t n) {
   if (!bucket.empty()) {
     Tensor t = std::move(bucket.back());
     bucket.pop_back();
+    --pooled_;
     ++reuse_;
     return t;
   }
@@ -470,6 +443,7 @@ void TensorArena::release(Tensor&& t) {
   if (t.capacity() < (std::size_t{1} << kMinClassLog2)) return;
   const int cls = class_for_release(t.capacity());
   free_[static_cast<std::size_t>(cls)].push_back(std::move(t));
+  ++pooled_;
 }
 
 }  // namespace gddr::nn::kernels

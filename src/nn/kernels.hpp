@@ -16,11 +16,9 @@
 //    register blocking change only the *iteration* order, never the
 //    per-element *accumulation* order, so results are bit-identical to
 //    the reference kernels in `kernels::ref`.
-//  * Multi-threaded variants shard disjoint output rows across the
-//    util::ThreadPool; each element is still computed entirely by one
-//    task with the serial inner loop, so results are bit-identical for
-//    any worker count (and the split is skipped below a flop threshold
-//    or when the pool is inline, matching rl::VecEnvCollector semantics).
+//  * Kernels are single-threaded.  Parallelism lives one level up, in
+//    whole independent tapes (the PPO update runs one tape per minibatch
+//    shard), so no kernel result depends on a worker count.
 //
 // The reference kernels are exported so tests and bench_gnn_micro can
 // assert optimized == reference exactly.
@@ -33,10 +31,6 @@
 
 #include "nn/tensor.hpp"
 
-namespace gddr::util {
-class ThreadPool;
-}  // namespace gddr::util
-
 namespace gddr::nn {
 
 // Activation functions applied by the fused linear kernel (historically
@@ -48,22 +42,22 @@ namespace kernels {
 
 // ---------------------------------------------------------------------------
 // Matmul family.  All matrices are dense row-major float with leading
-// dimension equal to their column count.  `pool` may be null (serial).
+// dimension equal to their column count.
 // ---------------------------------------------------------------------------
 
 // C (m x n) = A (m x k) * B (k x n).  C must not alias A or B.
-void matmul_nn(int m, int k, int n, const float* a, const float* b, float* c,
-               util::ThreadPool* pool = nullptr);
+void matmul_nn(int m, int k, int n, const float* a, const float* b,
+               float* c);
 
 // C (m x k) += G (m x n) * B^T with B stored (k x n) — the dA term of
 // matmul's backward, consuming B in its natural layout.
 void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
-                   float* c, util::ThreadPool* pool = nullptr);
+                   float* c);
 
 // C (k x n) += A^T * G with A stored (m x k), G stored (m x n) — the dB
 // term of matmul's backward.
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* g,
-                   float* c, util::ThreadPool* pool = nullptr);
+                   float* c);
 
 // Fused y[r][c] = act(x[r][c] + bias[c]); bias is 1 x cols.  In-place
 // (y == x) is supported; partial overlap is not.
@@ -78,14 +72,6 @@ void act_grad(std::size_t n, const float* g, const float* y, float* d,
 
 // bias (1 x cols) += column sums of d (rows x cols).
 void col_sum_acc(int rows, int cols, const float* d, float* bias);
-
-// Minimum m*k*n before a matmul shards rows across the pool; below this
-// the fan-out overhead exceeds the kernel cost.
-constexpr std::size_t kParallelMinFlops = 1U << 18U;
-// Output rows per parallel task.  The task decomposition depends only on
-// the matrix shape — never on the worker count — so the assignment of
-// elements to accumulation chains is fixed.
-constexpr int kRowsPerTask = 16;
 
 // Naive reference kernels (the seed's triple loops, zero-skip included).
 // Exported for equivalence tests and the bench_gnn_micro --json smoke.
@@ -159,6 +145,10 @@ class TensorArena {
   // Number of acquires served from the pool / from fresh allocations.
   std::uint64_t reuse_count() const { return reuse_; }
   std::uint64_t miss_count() const { return misses_; }
+  // Buffers sitting in the free lists.  Right after a Tape::reset() that
+  // is every buffer the arena owns, so it stays flat in steady state; a
+  // buffer adopted from outside the arena would grow it on every reset.
+  std::size_t pooled_count() const { return pooled_; }
 
  private:
   static constexpr int kClasses = 32;
@@ -177,6 +167,7 @@ class TensorArena {
   std::size_t bytes_allocated_ = 0;
   std::uint64_t reuse_ = 0;
   std::uint64_t misses_ = 0;
+  std::size_t pooled_ = 0;
 };
 
 }  // namespace kernels

@@ -1,5 +1,6 @@
 #include "nn/tape.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -51,7 +52,19 @@ Tape::Var Tape::constant(const Tensor& value) {
   return push(alloc_copy(value), {});
 }
 
-Tape::Var Tape::constant(Tensor&& value) { return push(std::move(value), {}); }
+Tape::Var Tape::constant(int rows, int cols,
+                         std::span<const double> values) {
+  if (rows < 0 || cols < 0 ||
+      static_cast<size_t>(rows) * static_cast<size_t>(cols) != values.size()) {
+    throw std::invalid_argument("constant: " + std::to_string(values.size()) +
+                                " values for " + std::to_string(rows) + "x" +
+                                std::to_string(cols));
+  }
+  Tensor out = alloc(rows, cols);
+  std::transform(values.begin(), values.end(), out.data().begin(),
+                 [](double v) { return static_cast<float>(v); });
+  return push(std::move(out), {});
+}
 
 Tape::Var Tape::zeros(int rows, int cols) { return push(alloc(rows, cols), {}); }
 
@@ -199,7 +212,7 @@ Tape::Var Tape::matmul(Var a, Var b) {
   }
   Tensor out = alloc(av.rows(), bv.cols());
   kernels::matmul_nn(av.rows(), av.cols(), bv.cols(), av.data().data(),
-                     bv.data().data(), out.data().data(), pool_);
+                     bv.data().data(), out.data().data());
   const int ia = a.id;
   const int ib = b.id;
   return push(std::move(out), [ia, ib](Tape& t, int self) {
@@ -208,11 +221,9 @@ Tape::Var Tape::matmul(Var a, Var b) {
     const Tensor& vb = t.value_of(ib);
     // gA += G * B^T, gB += A^T * G — transpose-free kernel variants.
     kernels::matmul_nt_acc(g.rows(), g.cols(), va.cols(), g.data().data(),
-                           vb.data().data(), t.grad_of(ia).data().data(),
-                           t.pool_);
+                           vb.data().data(), t.grad_of(ia).data().data());
     kernels::matmul_tn_acc(va.rows(), va.cols(), g.cols(), va.data().data(),
-                           g.data().data(), t.grad_of(ib).data().data(),
-                           t.pool_);
+                           g.data().data(), t.grad_of(ib).data().data());
   });
 }
 
@@ -233,7 +244,7 @@ Tape::Var Tape::linear(Var x, Var w, Var bias, Activation act) {
   }
   Tensor out = alloc(xv.rows(), wv.cols());
   kernels::matmul_nn(xv.rows(), xv.cols(), wv.cols(), xv.data().data(),
-                     wv.data().data(), out.data().data(), pool_);
+                     wv.data().data(), out.data().data());
   kernels::bias_act(out.rows(), out.cols(), out.data().data(),
                     bv.data().data(), out.data().data(), act);
   const int ix = x.id;
@@ -258,9 +269,9 @@ Tape::Var Tape::linear(Var x, Var w, Var bias, Activation act) {
       d = scratch.data().data();
     }
     kernels::matmul_nt_acc(m, n, k, d, vw.data().data(),
-                           t.grad_of(ix).data().data(), t.pool_);
+                           t.grad_of(ix).data().data());
     kernels::matmul_tn_acc(m, k, n, vx.data().data(), d,
-                           t.grad_of(iw).data().data(), t.pool_);
+                           t.grad_of(iw).data().data());
     kernels::col_sum_acc(m, n, d, t.grad_of(ib).data().data());
     if (scratch.capacity() != 0) t.arena_.release(std::move(scratch));
   });
@@ -631,6 +642,19 @@ const Tensor& Tape::grad(Var v) const {
 }
 
 void Tape::backward(Var loss) {
+  backward_local(loss);
+  fold_parameter_grads();
+}
+
+void Tape::fold_parameter_grads() {
+  for (auto it = nodes_.rbegin(); it != nodes_.rend(); ++it) {
+    if (it->parameter != nullptr && it->grad.same_shape(it->value)) {
+      it->parameter->grad.add_in_place(it->grad);
+    }
+  }
+}
+
+void Tape::backward_local(Var loss) {
   check_var(loss, "backward");
   const Tensor& lv = node(loss).value;
   if (lv.rows() != 1 || lv.cols() != 1) {
@@ -652,7 +676,6 @@ void Tape::backward(Var loss) {
     if (!n.grad.same_shape(n.value)) continue;
     active_backward_node_ = i;
     if (n.backward_fn) n.backward_fn(*this, i);
-    if (n.parameter != nullptr) n.parameter->grad.add_in_place(n.grad);
   }
   active_backward_node_ = -1;
   // Grad-shape agreement over the whole tape: every gradient this pass

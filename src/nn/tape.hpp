@@ -10,8 +10,13 @@
 // block (gather / segment-sum / concat / stack) and the PPO loss
 // (elementwise arithmetic, clip, min, reductions) require.  The dense
 // kernels behind matmul / linear / segment_sum live in nn/kernels.hpp;
-// they are bit-compatible with the naive reference loops and optionally
-// shard large matmuls across a util::ThreadPool (see set_thread_pool).
+// they are bit-compatible with the naive reference loops.
+//
+// A tape is single-threaded.  Data-parallel training runs one tape per
+// shard on different threads: each shard calls backward_local(), which
+// leaves its parameter gradients on the tape, and one thread then folds
+// the shards into Parameter::grad in a fixed order (fold_parameter_grads),
+// so the result never depends on which thread ran which shard.
 //
 // Memory model: every node value and gradient buffer is acquired from the
 // tape's TensorArena and returned to it by reset() (or, for gradients, at
@@ -28,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,10 +42,6 @@
 #include "nn/kernels.hpp"
 #include "nn/tensor.hpp"
 #include "util/contract.hpp"
-
-namespace gddr::util {
-class ThreadPool;
-}  // namespace gddr::util
 
 namespace gddr::nn {
 
@@ -54,28 +56,18 @@ class Tape {
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
-  // Large matmuls shard output rows across `pool` (null/inline = serial).
-  // The split is deterministic: results are bit-identical for any worker
-  // count.  The pool must not be one whose workers run this tape's
-  // forward/backward (a worker waiting on its own queue would deadlock).
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* thread_pool() const { return pool_; }
-
   // Drops all nodes and recycles every value/grad buffer into the arena.
   // Vars from before the reset are invalidated.
   void reset();
 
   // --- leaves ---
-  Var constant(const Tensor& value);  // copies via the arena
-  Var constant(Tensor&& value);       // adopts the buffer
-  // Zero-filled rows x cols constant straight from the arena.
+  // Every constant is built in the arena, so a steady-state forward
+  // allocates nothing.
+  Var constant(const Tensor& value);
+  // rows x cols constant from row-major doubles (narrowed to float).
+  Var constant(int rows, int cols, std::span<const double> values);
+  // Zero-filled rows x cols constant.
   Var zeros(int rows, int cols);
-  // Constant holding the rows of block(0), ..., block(count - 1) stacked in
-  // order; block(i) returns a const Tensor& and every block has the same
-  // column count.  Built in the arena, so a stack of one costs what
-  // constant(block(0)) does and allocates nothing in steady state.
-  template <typename BlockFn>
-  Var stack_rows(int count, BlockFn&& block);
   // Gradient flows into `p.grad` on backward(); `p` must outlive the tape.
   Var leaf(Parameter& p);
 
@@ -133,7 +125,16 @@ class Tape {
   const Tensor& value(Var v) const;
   // Seeds d(loss)/d(loss) = 1 (loss must be 1x1) and propagates backward
   // through the whole tape, accumulating into Parameter::grad for leaves.
+  // Equivalent to backward_local(loss) followed by fold_parameter_grads().
   void backward(Var loss);
+  // backward() without the Parameter::grad writes: every leaf keeps its
+  // gradient on this tape, so tapes on different threads can run their
+  // backward passes concurrently over the same parameters.
+  void backward_local(Var loss);
+  // Adds each leaf gradient of the last backward_local() into its
+  // Parameter::grad, in descending node order — the order backward()
+  // accumulates them, so the sum per parameter is the same bit for bit.
+  void fold_parameter_grads();
   // Gradient of the last backward() with respect to node v.
   const Tensor& grad(Var v) const;
 
@@ -148,6 +149,7 @@ class Tape {
   std::size_t arena_bytes() const { return arena_.bytes_allocated(); }
   std::uint64_t arena_reuse() const { return arena_.reuse_count(); }
   std::uint64_t arena_misses() const { return arena_.miss_count(); }
+  std::size_t arena_pooled() const { return arena_.pooled_count(); }
 
  private:
   struct Node {
@@ -198,34 +200,10 @@ class Tape {
   // std::function's small-buffer optimisation — no per-node allocation).
   std::vector<std::shared_ptr<const void>> retained_;
   kernels::TensorArena arena_;
-  util::ThreadPool* pool_ = nullptr;
   std::size_t grad_allocs_ = 0;
   // Node whose backward_fn is currently running (-1 outside backward);
   // read by the monotonicity contract in grad_of.
   int active_backward_node_ = -1;
 };
-
-template <typename BlockFn>
-Tape::Var Tape::stack_rows(int count, BlockFn&& block) {
-  if (count < 1) throw std::invalid_argument("stack_rows: count < 1");
-  const int cols = block(0).cols();
-  int rows = 0;
-  for (int i = 0; i < count; ++i) {
-    const Tensor& part = block(i);
-    if (part.cols() != cols) {
-      throw std::invalid_argument("stack_rows: column mismatch " +
-                                  block(0).shape_str() + " vs " +
-                                  part.shape_str());
-    }
-    rows += part.rows();
-  }
-  Tensor out = alloc(rows, cols);
-  float* dst = out.data().data();
-  for (int i = 0; i < count; ++i) {
-    const auto src = block(i).data();
-    dst = std::copy(src.begin(), src.end(), dst);
-  }
-  return push(std::move(out), {});
-}
 
 }  // namespace gddr::nn

@@ -12,20 +12,41 @@
 
 namespace gddr::rl {
 
-// A single observation.  Environments fill every representation so that
+// An observation.  Environments fill every representation so that
 // different policy families can consume the same stream:
 //  * `flat`    — flattened feature vector (MLP policies; paper §V-B);
 //  * `nodes` / `edges` / `globals` — graph-structured attributes plus the
 //    sender/receiver connectivity (GNN policies, paper Eq. 4/6);
+//
+// An environment always emits a single observation (batch 1).  A stacked
+// observation (batch B, built by stack_observations) holds B copies that
+// share one topology: `flat`, `nodes`, `edges` and `globals` hold the B
+// copies' rows back to back in copy order (copy b's nodes are rows
+// [b * N, (b + 1) * N)), while `senders`, `receivers` and `num_nodes`
+// describe one copy.  Policies answer a stacked observation with one row
+// per copy (see rl::Policy).
 struct Observation {
-  std::vector<double> flat;
-  nn::Tensor nodes;    // N x node_dim
-  nn::Tensor edges;    // E x edge_dim
-  nn::Tensor globals;  // 1 x global_dim
-  std::vector<int> senders;    // per edge: source node
-  std::vector<int> receivers;  // per edge: destination node
-  int num_nodes = 0;
+  std::vector<double> flat;  // B * flat_dim
+  nn::Tensor nodes;    // B * N x node_dim
+  nn::Tensor edges;    // B * E x edge_dim
+  nn::Tensor globals;  // B x global_dim
+  std::vector<int> senders;    // per edge of one copy: source node
+  std::vector<int> receivers;  // per edge of one copy: destination node
+  int num_nodes = 0;           // nodes of one copy
+  int batch = 1;
 };
+
+// True when `a` and `b` can be stacked: same connectivity and the same
+// per-copy attribute shapes.
+bool stackable(const Observation& a, const Observation& b);
+
+// Refills `out` with the copies of `parts` stacked in order (out.batch is
+// the sum of their batches); `out`'s buffers are reused, so a long-lived
+// `out` stops allocating once it has seen the largest stack.  Returns
+// false, leaving `out` unspecified, when `parts` is empty or not pairwise
+// stackable.
+bool stack_observations(std::span<const Observation* const> parts,
+                        Observation& out);
 
 class Env {
  public:

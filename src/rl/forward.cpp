@@ -48,6 +48,26 @@ std::vector<double> forward_action_mean(Policy& policy,
   return row_of(tape.value(policy.action_mean(tape, obs)), 0);
 }
 
+double forward_value(Policy& policy, const Observation& obs) {
+  nn::Tape& tape = thread_tape();
+  return tape.value(policy.value(tape, obs)).at(0, 0);
+}
+
+bool Policy::action_means(nn::Tape& tape,
+                          const std::vector<const Observation*>& obs,
+                          nn::Tape::Var& out) {
+  if (obs.size() == 1) {
+    out = action_mean(tape, *obs.front());  // a batch of one needs no copy
+    return true;
+  }
+  // Reused per thread: the tape copies its inputs, so the stack is free
+  // again as soon as action_mean returns.
+  thread_local Observation stacked;
+  if (!stack_observations(obs, stacked)) return false;
+  out = action_mean(tape, stacked);
+  return true;
+}
+
 std::vector<std::vector<double>> forward_action_means(
     Policy& policy, const std::vector<const Observation*>& obs) {
   std::vector<std::vector<double>> means;

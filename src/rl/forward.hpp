@@ -24,13 +24,17 @@ PolicyForward forward_policy(Policy& policy, const Observation& obs);
 std::vector<double> forward_action_mean(Policy& policy,
                                         const Observation& obs);
 
+// State value alone for one observation: the policy network never runs
+// (the collector's bootstrap values).  Bit-identical to
+// forward_policy(policy, obs).value.
+double forward_value(Policy& policy, const Observation& obs);
+
 // No-gradient action means, one row per observation: the one inference
 // forward serving uses, where a lone request is a batch of one.
-// Observations sharing one topology go through the policy's stacked
-// path (one GNN forward instead of |obs|); policies without one, or
-// observations of mixed connectivity, fall back to one action_mean per
-// observation.  Row i is bit-identical to
-// forward_action_mean(policy, *obs[i]) either way.
+// Observations sharing one topology go through Policy::action_means (one
+// stacked forward instead of |obs|); observations of mixed connectivity
+// fall back to one action_mean per observation.  Row i is bit-identical
+// to forward_action_mean(policy, *obs[i]) either way.
 std::vector<std::vector<double>> forward_action_means(
     Policy& policy, const std::vector<const Observation*>& obs);
 

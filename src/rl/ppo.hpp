@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/optimizer.hpp"
@@ -59,6 +60,63 @@ struct PpoIterationStats {
   double learning_rate = 0.0;  // lr in effect after the iteration
 };
 
+// Per-minibatch sums from MinibatchGradient::compute.  `loss` is the
+// minibatch's mean PPO loss (the quantity the gradient is of); the rest
+// are sums over its samples, added one sample at a time in shard order.
+struct MinibatchLoss {
+  double loss = 0.0;
+  double policy_loss = 0.0;  // clipped-surrogate loss
+  double value_loss = 0.0;   // clipped value loss (before value_coef)
+  double entropy = 0.0;
+  double kl = 0.0;           // log pi_old - log pi
+  double clipped = 0.0;      // samples whose ratio left [1 - eps, 1 + eps]
+};
+
+// Samples per update shard (see MinibatchGradient).
+inline constexpr std::size_t kUpdateShardSize = 16;
+
+// The loss and parameter gradient of one PPO minibatch, computed data
+// parallel.  This is the whole of the update's forward and backward work.
+//
+// Shard contract (DESIGN §5):
+//  * Partition.  Samples are grouped by connectivity (rl::stackable) in
+//    order of first appearance, and each group is cut in order into
+//    shards of at most kUpdateShardSize samples.  The split is a function
+//    of the minibatch alone, never of the worker count.
+//  * Shard work.  Each shard runs on its own tape (created on first use,
+//    reused after): one stacked action_mean, one stacked value, the PPO
+//    loss as whole-shard tape ops (Gaussian log-prob rows, clipped ratio,
+//    clipped value, entropy) scaled by 1 / |minibatch|, and a
+//    Tape::backward_local() that leaves the gradient on the shard's tape.
+//    Shards run on `pool` and touch nothing shared but the parameter
+//    values they read.
+//  * Fold.  After the barrier the calling thread zeroes every
+//    Parameter::grad and folds the shards' gradients into it in shard
+//    order, so the result is bit-identical for any worker count.
+class MinibatchGradient {
+ public:
+  // `policy` must outlive this object.
+  MinibatchGradient(Policy& policy, const PpoConfig& config);
+  ~MinibatchGradient();
+  MinibatchGradient(const MinibatchGradient&) = delete;
+  MinibatchGradient& operator=(const MinibatchGradient&) = delete;
+
+  // Leaves d(loss)/d(theta) in Parameter::grad of every policy parameter
+  // and returns the loss with its diagnostic sums.  `pool` may be null.
+  MinibatchLoss compute(std::span<const StepSample* const> minibatch,
+                        util::ThreadPool* pool);
+
+ private:
+  struct Shard;
+  void run_shard(Shard& shard, float inv_batch);
+  void add_diagnostics(const Shard& shard, MinibatchLoss& total) const;
+
+  Policy& policy_;
+  PpoConfig config_;
+  std::vector<nn::Parameter*> params_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+};
+
 class PpoTrainer {
  public:
   // `policy` and `env` must outlive the trainer.
@@ -69,9 +127,10 @@ class PpoTrainer {
   // every env (ceil(rollout_steps / envs.size()) steps each) via a
   // VecEnvCollector — concurrently when `pool` is non-null, and always
   // merged env-major so the update sees bit-identical data for any worker
-  // count.  The PPO update itself stays serial (it is a sequential
-  // optimisation).  `policy`, the envs and `pool` must outlive the
-  // trainer.
+  // count.  The update runs each minibatch's shards on the same pool (see
+  // MinibatchGradient) and steps the optimiser once per minibatch, so it
+  // is bit-identical for any worker count too.  `policy`, the envs and
+  // `pool` must outlive the trainer.
   PpoTrainer(Policy& policy, std::vector<Env*> envs, const PpoConfig& config,
              std::uint64_t seed, util::ThreadPool* pool = nullptr);
 
@@ -113,11 +172,7 @@ class PpoTrainer {
   util::Rng rng_;  // minibatch shuffling
   nn::Adam optimizer_;
   std::vector<nn::Parameter*> params_;
-  // Long-lived update tape: reset per minibatch so its arena recycles
-  // every buffer, and wired to pool_ so large matmuls shard rows
-  // deterministically.  The collector's workers use their own
-  // thread-local tapes (never this one).
-  nn::Tape update_tape_;
+  MinibatchGradient gradient_;
   util::ThreadPool* pool_ = nullptr;
   VecEnvCollector collector_;
   int steps_per_env_;

@@ -81,8 +81,7 @@ VecEnvCollector::CollectStats VecEnvCollector::collect(
           // Time-limit ending: bootstrap from the terminal observation
           // instead of zeroing the successor value.
           sample.truncated = true;
-          sample.bootstrap_value =
-              forward_policy(policy_, result.obs).value;
+          sample.bootstrap_value = forward_value(policy_, result.obs);
         }
         stats.episode_reward_sum += slot.episode_reward;
         ++stats.episodes;
@@ -99,7 +98,7 @@ VecEnvCollector::CollectStats VecEnvCollector::collect(
     // of the next env in the merged buffer.
     if (!traj.back().done) {
       traj.back().truncated = true;
-      traj.back().bootstrap_value = forward_policy(policy_, slot.obs).value;
+      traj.back().bootstrap_value = forward_value(policy_, slot.obs);
     }
     GDDR_ENSURE(traj.back().done || traj.back().truncated,
                 "rl/collect/segment-tail", "env", i);

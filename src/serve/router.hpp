@@ -184,8 +184,8 @@ class RobustRouter {
 
   // Decides a micro-batch of same-topology requests, amortising the GNN
   // forward: when rung 1 is live, all action means are computed up front
-  // by rl::forward_action_means (one stacked forward when the policy has
-  // one) and each request then runs the ordinary ladder on its own
+  // by rl::forward_action_means (one stacked forward for every policy)
+  // and each request then runs the ordinary ladder on its own
   // precomputed mean.  Decisions are identical to calling decide() per
   // request in order, which runs the same forward as a batch of one.
   // Requests that do not share the first request's topology, or any

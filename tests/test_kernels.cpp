@@ -1,9 +1,8 @@
 // Tests for the optimized kernel substrate (nn/kernels.hpp): exact
 // equivalence of the tiled/packed matmul family against the naive
-// reference over exhaustive small shapes, bit-identical results across
-// thread-pool worker counts, segment-sum plans (empty segments, unused
-// trailing segments, validation), finite-difference gradients through the
-// tiled path, and the TensorArena reuse contract.
+// reference over exhaustive small shapes, segment-sum plans (empty
+// segments, unused trailing segments, validation), finite-difference
+// gradients through the tiled path, and the TensorArena reuse contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +17,6 @@
 #include "nn/tape.hpp"
 #include "nn/tensor.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gddr::nn {
 namespace {
@@ -110,46 +108,6 @@ TEST(Kernels, MatmulDegenerateDimensions) {
   kernels::matmul_nn(0, 3, 3, nullptr, nullptr, nullptr);
   kernels::matmul_nt_acc(0, 3, 3, nullptr, nullptr, nullptr);
   kernels::matmul_tn_acc(3, 0, 3, nullptr, nullptr, nullptr);
-}
-
-TEST(Kernels, MatmulBitIdenticalAcrossWorkerCounts) {
-  // 64x64x64 = 2^18 flops with 64 rows: crosses both parallel gates
-  // (kParallelMinFlops and kRowsPerTask), so pools of 2 and 4 really do
-  // shard — and must still reproduce the serial bytes exactly.
-  const int m = 64;
-  const int k = 64;
-  const int n = 64;
-  ASSERT_GE(static_cast<std::size_t>(m) * k * n, kernels::kParallelMinFlops);
-  ASSERT_GT(m, kernels::kRowsPerTask);
-  util::Rng rng(13);
-  const auto a = random_data(static_cast<std::size_t>(m) * k, rng);
-  const auto b = random_data(static_cast<std::size_t>(k) * n, rng);
-  const auto g = random_data(static_cast<std::size_t>(m) * n, rng);
-
-  std::vector<float> c1(static_cast<std::size_t>(m) * n);
-  std::vector<float> gx1(static_cast<std::size_t>(m) * k, 0.0F);
-  std::vector<float> gw1(static_cast<std::size_t>(k) * n, 0.0F);
-  kernels::matmul_nn(m, k, n, a.data(), b.data(), c1.data(), nullptr);
-  kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx1.data(), nullptr);
-  kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw1.data(), nullptr);
-
-  for (std::size_t workers : {1U, 2U, 4U}) {
-    util::ThreadPool pool(workers);
-    std::vector<float> c(static_cast<std::size_t>(m) * n);
-    std::vector<float> gx(static_cast<std::size_t>(m) * k, 0.0F);
-    std::vector<float> gw(static_cast<std::size_t>(k) * n, 0.0F);
-    kernels::matmul_nn(m, k, n, a.data(), b.data(), c.data(), &pool);
-    kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx.data(), &pool);
-    kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw.data(), &pool);
-    EXPECT_EQ(0, std::memcmp(c1.data(), c.data(), c.size() * sizeof(float)))
-        << workers << " workers";
-    EXPECT_EQ(0,
-              std::memcmp(gx1.data(), gx.data(), gx.size() * sizeof(float)))
-        << workers << " workers";
-    EXPECT_EQ(0,
-              std::memcmp(gw1.data(), gw.data(), gw.size() * sizeof(float)))
-        << workers << " workers";
-  }
 }
 
 // ---------------- fused bias + activation ----------------
@@ -380,37 +338,6 @@ TEST(KernelsGradCheck, FusedLinearMatchesUnfusedComposition) {
             << "act " << static_cast<int>(act);
       }
     }
-  }
-}
-
-TEST(KernelsGradCheck, TapeMatmulBitIdenticalAcrossWorkerCounts) {
-  // End-to-end through the tape: value and parameter gradient of a
-  // pool-sharded matmul must not depend on the worker count.
-  util::Rng rng(41);
-  const Tensor a = random_tensor(64, 64, rng);
-  const Tensor b = random_tensor(64, 64, rng);
-  Tensor base_value;
-  Tensor base_grad;
-  for (std::size_t workers : {1U, 2U, 4U}) {
-    util::ThreadPool pool(workers);
-    Parameter pa(a);
-    Tape tape;
-    tape.set_thread_pool(&pool);
-    const Var y = tape.matmul(tape.leaf(pa), tape.constant(b));
-    const Tensor value = tape.value(y);
-    tape.backward(tape.mean_all(y));
-    if (workers == 1) {
-      base_value = value;
-      base_grad = pa.grad;
-      continue;
-    }
-    EXPECT_EQ(0, std::memcmp(base_value.data().data(), value.data().data(),
-                             value.data().size() * sizeof(float)))
-        << workers << " workers";
-    EXPECT_EQ(0,
-              std::memcmp(base_grad.data().data(), pa.grad.data().data(),
-                          pa.grad.data().size() * sizeof(float)))
-        << workers << " workers";
   }
 }
 

@@ -141,48 +141,64 @@ TEST(Tape, GatherRowsValues) {
   EXPECT_FLOAT_EQ(tape.value(out).at(2, 0), 9.0F);
 }
 
-TEST(Tape, StackRowsValues) {
+TEST(Tape, ConstantFromDoublesValues) {
   Tape tape;
-  const Tensor a = Tensor::row({1.0F, 2.0F});
-  Tensor b(2, 2);
-  b.at(0, 0) = 3;
-  b.at(0, 1) = 4;
-  b.at(1, 0) = 5;
-  b.at(1, 1) = 6;
-  const Tensor* parts[] = {&a, &b};
-  const Tensor& v = tape.value(tape.stack_rows(
-      2, [&](int i) -> const Tensor& { return *parts[i]; }));
-  ASSERT_EQ(v.rows(), 3);
-  ASSERT_EQ(v.cols(), 2);
-  for (int j = 0; j < 2; ++j) {
-    EXPECT_EQ(v.at(0, j), a.at(0, j));
-    EXPECT_EQ(v.at(1, j), b.at(0, j));
-    EXPECT_EQ(v.at(2, j), b.at(1, j));
+  const std::vector<double> values{1.0, 2.5, -3.0, 0.1, 5.0, 6.0};
+  const Tensor& v = tape.value(tape.constant(2, 3, values));
+  ASSERT_EQ(v.rows(), 2);
+  ASSERT_EQ(v.cols(), 3);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(v.data()[static_cast<std::size_t>(i)],
+              static_cast<float>(values[static_cast<std::size_t>(i)]));
   }
-  const Tensor narrow(1, 1);
-  EXPECT_THROW(tape.stack_rows(
-                   2, [&](int i) -> const Tensor& { return i ? narrow : a; }),
-               std::invalid_argument);
-  EXPECT_THROW(
-      tape.stack_rows(0, [&](int) -> const Tensor& { return a; }),
-      std::invalid_argument);
+  EXPECT_THROW(tape.constant(4, 2, values), std::invalid_argument);
+  EXPECT_THROW(tape.constant(-2, -3, values), std::invalid_argument);
 }
 
-// The stacked buffer comes from the arena (one reuse per call once warm),
-// never from a fresh heap tensor the arena would adopt at reset.
-TEST(Tape, StackRowsReusesArenaBuffers) {
-  const Tensor a(3, 40, 1.0F);
+// The constant's buffer comes from the arena (one reuse per call once
+// warm), never from a fresh heap tensor the arena would adopt at reset.
+TEST(Tape, ConstantFromDoublesReusesArenaBuffers) {
+  const std::vector<double> values(120, 1.0);
   Tape tape;
-  auto stack = [&] {
+  auto build = [&] {
     tape.reset();
-    tape.stack_rows(2, [&](int) -> const Tensor& { return a; });
+    tape.constant(3, 40, values);
   };
-  stack();
+  build();
   const std::uint64_t misses = tape.arena_misses();
   const std::uint64_t reuse = tape.arena_reuse();
-  for (int i = 0; i < 5; ++i) stack();
+  const std::size_t pooled = tape.arena_pooled();
+  for (int i = 0; i < 5; ++i) build();
   EXPECT_EQ(tape.arena_misses(), misses);
   EXPECT_EQ(tape.arena_reuse(), reuse + 5);
+  EXPECT_EQ(tape.arena_pooled(), pooled);
+}
+
+// backward() is backward_local() plus fold_parameter_grads(): the split
+// form leaves Parameter::grad alone until the fold, then matches bit for
+// bit, even with a parameter entering the tape through several leaves.
+TEST(Tape, BackwardLocalThenFoldMatchesBackward) {
+  util::Rng rng(7);
+  Tensor w0(3, 3);
+  w0.fill_uniform(rng, 1.0);
+  Tensor x0(2, 3);
+  x0.fill_uniform(rng, 1.0);
+  auto loss_of = [&](Tape& t, Parameter& w) {
+    const Var x = t.constant(x0);
+    const Var h = t.tanh(t.matmul(x, t.leaf(w)));
+    return t.sum_all(t.square(t.matmul(h, t.leaf(w))));
+  };
+  Parameter a(w0);
+  Tape ta;
+  ta.backward(loss_of(ta, a));
+
+  Parameter b(w0);
+  Tape tb;
+  tb.backward_local(loss_of(tb, b));
+  for (float g : b.grad.data()) EXPECT_EQ(g, 0.0F);
+  tb.fold_parameter_grads();
+  EXPECT_EQ(0, std::memcmp(a.grad.data().data(), b.grad.data().data(),
+                           a.grad.size() * sizeof(float)));
 }
 
 TEST(Tape, ClipValues) {
