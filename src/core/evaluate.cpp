@@ -117,11 +117,8 @@ EvalResult evaluate_fixed(
         std::vector<double> ratios;
         for (std::size_t t = static_cast<std::size_t>(memory);
              t < unit.seq->size(); ++t) {
-          const auto sim = routing::simulate(unit.scenario->graph, strategy,
-                                             (*unit.seq)[t]);
-          const double u_opt =
-              cache.u_max(unit.scenario->graph, (*unit.seq)[t]);
-          ratios.push_back(u_opt > 0.0 ? sim.u_max / u_opt : 1.0);
+          ratios.push_back(utilisation_ratio(unit.scenario->graph, strategy,
+                                             (*unit.seq)[t], cache));
         }
         return ratios;
       });

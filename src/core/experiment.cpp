@@ -92,7 +92,7 @@ long bench_train_steps(long default_steps) {
   return default_steps;
 }
 
-Experiment::Experiment(ExperimentConfig config)
+Experiment::Experiment(ExperimentConfig config, util::ThreadPool* pool)
     : config_(std::move(config)) {
   if (config_.num_envs <= 0) {
     throw std::invalid_argument("Experiment: num_envs <= 0");
@@ -116,7 +116,7 @@ Experiment::Experiment(ExperimentConfig config)
   env_ptrs.reserve(envs_.size());
   for (const auto& env : envs_) env_ptrs.push_back(env.get());
   trainer_ = std::make_unique<rl::PpoTrainer>(
-      *policy_, std::move(env_ptrs), config_.ppo, config_.train_seed);
+      *policy_, std::move(env_ptrs), config_.ppo, config_.train_seed, pool);
 }
 
 std::vector<rl::PpoIterationStats> Experiment::train(long total_steps) {

@@ -30,6 +30,7 @@
 #include "core/scenario.hpp"
 #include "obs/sink.hpp"
 #include "rl/ppo.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gddr::core {
 
@@ -88,7 +89,11 @@ struct ExperimentConfig {
 // a resumed run is bit-identical to the uninterrupted one.
 class Experiment {
  public:
-  explicit Experiment(ExperimentConfig config);
+  // `pool` (optional, must outlive the experiment) runs the trainer's
+  // collection and update; the result is bit-identical for any worker
+  // count (see rl::PpoTrainer).
+  explicit Experiment(ExperimentConfig config,
+                      util::ThreadPool* pool = nullptr);
 
   // Trains until at least `total_steps` *additional* environment steps
   // have been taken, checkpointing per the config.  Returns per-iteration
@@ -104,8 +109,6 @@ class Experiment {
 
   GnnPolicy& policy() { return *policy_; }
   rl::PpoTrainer& trainer() { return *trainer_; }
-  RoutingEnv& env(int i) { return *envs_[static_cast<std::size_t>(i)]; }
-  int num_envs() const { return static_cast<int>(envs_.size()); }
 
  private:
   ExperimentConfig config_;

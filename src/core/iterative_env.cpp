@@ -6,8 +6,6 @@
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "rl/checkpoint.hpp"
-#include "routing/routing.hpp"
 #include "util/error.hpp"
 
 namespace gddr::core {
@@ -17,84 +15,27 @@ using rl::Observation;
 IterativeRoutingEnv::IterativeRoutingEnv(std::vector<Scenario> scenarios,
                                          IterativeEnvConfig config,
                                          std::uint64_t seed)
-    : scenarios_(std::move(scenarios)),
-      config_(config),
-      rng_(seed),
-      cache_(std::make_shared<mcf::OptimalCache>()) {
-  if (scenarios_.empty()) {
-    throw std::invalid_argument("IterativeRoutingEnv: no scenarios");
-  }
-  for (const auto& s : scenarios_) {
-    if (s.train_sequences.empty() || s.test_sequences.empty()) {
-      throw std::invalid_argument(
-          "IterativeRoutingEnv: scenario missing sequences");
-    }
-  }
+    : cursor_(std::move(scenarios), config.memory, seed,
+              "IterativeRoutingEnv"),
+      config_(config) {
   if (!(config_.min_gamma > 0.0) || !(config_.max_gamma > config_.min_gamma)) {
     throw std::invalid_argument("IterativeRoutingEnv: bad gamma range");
   }
 }
 
 void IterativeRoutingEnv::set_mode(Mode mode) {
-  mode_ = mode;
-  test_cursor_ = 0;
-  in_sequence_ = false;  // next reset starts a fresh sequence
-}
-
-void IterativeRoutingEnv::set_shared_cache(
-    std::shared_ptr<mcf::OptimalCache> cache) {
-  if (!cache) {
-    throw std::invalid_argument(
-        "IterativeRoutingEnv::set_shared_cache: null cache");
-  }
-  cache_ = std::move(cache);
-}
-
-const graph::DiGraph& IterativeRoutingEnv::current_graph() const {
-  return scenarios_[scenario_idx_].graph;
-}
-
-std::size_t IterativeRoutingEnv::num_test_episodes() const {
-  // One episode per demand matrix of every test sequence.
-  std::size_t total = 0;
-  for (const auto& s : scenarios_) {
-    for (const auto& seq : s.test_sequences) {
-      total += seq.size() - static_cast<size_t>(config_.memory);
-    }
-  }
-  return total;
-}
-
-std::size_t IterativeRoutingEnv::num_test_units() const {
-  std::size_t total = 0;
-  for (const auto& s : scenarios_) total += s.test_sequences.size();
-  return total;
+  cursor_.set_mode(mode);
+  in_sequence_ = false;
 }
 
 int IterativeRoutingEnv::episodes_in_unit(std::size_t unit) const {
-  std::size_t idx = unit % num_test_units();
-  for (const auto& s : scenarios_) {
-    if (idx < s.test_sequences.size()) {
-      return static_cast<int>(s.test_sequences[idx].size()) - config_.memory;
-    }
-    idx -= s.test_sequences.size();
-  }
-  return 0;  // unreachable: idx was reduced modulo num_test_units()
+  return static_cast<int>(cursor_.test_unit_sequence(unit).size()) -
+         config_.memory;
 }
 
 void IterativeRoutingEnv::seek_test_unit(std::size_t unit) {
-  if (mode_ != Mode::kTest) {
-    throw std::logic_error(
-        "IterativeRoutingEnv::seek_test_unit: requires kTest mode");
-  }
-  test_cursor_ = unit % num_test_units();
+  cursor_.seek_test_unit(unit);
   in_sequence_ = false;  // next reset() starts the sought unit afresh
-}
-
-const traffic::DemandSequence& IterativeRoutingEnv::current_sequence() const {
-  const Scenario& s = scenarios_[scenario_idx_];
-  return mode_ == Mode::kTrain ? s.train_sequences[sequence_idx_]
-                               : s.test_sequences[sequence_idx_];
 }
 
 double IterativeRoutingEnv::map_gamma(double a) const {
@@ -104,16 +45,10 @@ double IterativeRoutingEnv::map_gamma(double a) const {
   return std::exp(log_lo + (x + 1.0) * 0.5 * (log_hi - log_lo));
 }
 
-void IterativeRoutingEnv::start_dm_step() {
-  edge_cursor_ = 0;
-  pending_weights_.assign(
-      static_cast<size_t>(current_graph().num_edges()), 0.0);
-}
-
 Observation IterativeRoutingEnv::build_iterative_observation() const {
   // Base observation: demand history for the DM about to be routed.
   Observation obs = RoutingEnv::build_observation(
-      scenarios_[scenario_idx_], current_sequence(), t_, config_.memory);
+      cursor_.scenario(), cursor_.sequence(), t_, config_.memory);
   // Edge attributes per Eq. 6 — (weight_i, set_i, target_i) — plus the
   // normalised link capacity carried over from the base observation (see
   // RoutingEnv::build_observation for why capacity must be visible).
@@ -136,26 +71,12 @@ Observation IterativeRoutingEnv::reset() {
   // Episodes are per demand matrix; only pick a new (scenario, sequence)
   // once the current sequence has been exhausted.
   if (!in_sequence_) {
-    if (mode_ == Mode::kTrain) {
-      scenario_idx_ = rng_.uniform_index(scenarios_.size());
-      sequence_idx_ = rng_.uniform_index(
-          scenarios_[scenario_idx_].train_sequences.size());
-    } else {
-      std::size_t total = 0;
-      for (const auto& s : scenarios_) total += s.test_sequences.size();
-      std::size_t idx = test_cursor_ % total;
-      scenario_idx_ = 0;
-      while (idx >= scenarios_[scenario_idx_].test_sequences.size()) {
-        idx -= scenarios_[scenario_idx_].test_sequences.size();
-        ++scenario_idx_;
-      }
-      sequence_idx_ = idx;
-      test_cursor_ = (test_cursor_ + 1) % total;
-    }
+    cursor_.next_sequence();
     t_ = config_.memory;
     in_sequence_ = true;
   }
-  start_dm_step();
+  edge_cursor_ = 0;
+  pending_weights_.assign(static_cast<size_t>(edges_per_step()), 0.0);
   return build_iterative_observation();
 }
 
@@ -165,7 +86,8 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
         "IterativeRoutingEnv::step: action must be (weight, gamma)");
   }
   const graph::DiGraph& g = current_graph();
-  if (t_ >= static_cast<int>(current_sequence().size())) {
+  const auto& seq = cursor_.sequence();
+  if (t_ >= static_cast<int>(seq.size())) {
     throw std::logic_error(
         "IterativeRoutingEnv::step: episode is over — call reset() first");
   }
@@ -184,7 +106,6 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
 
   // Final iteration for this DM: translate and score (gamma read here,
   // paper Eq. 7).
-  const auto& seq = current_sequence();
   const auto& dm = seq[static_cast<size_t>(t_)];
   const std::vector<double> weights = routing::weights_from_actions(
       pending_weights_, config_.min_weight, config_.max_weight);
@@ -192,9 +113,7 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
   softmin.gamma = map_gamma(action[1]);
   const routing::Routing strategy = routing::softmin_routing(g, weights,
                                                              softmin);
-  const auto sim = routing::simulate(g, strategy, dm);
-  const double u_opt = cache_->u_max(g, dm);
-  last_ratio_ = u_opt > 0.0 ? sim.u_max / u_opt : 1.0;
+  last_ratio_ = utilisation_ratio(g, strategy, dm, cursor_.cache());
   result.reward = -last_ratio_;
 
   // The demand matrix is fully routed: the episode ends here.  reset()
@@ -206,18 +125,9 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
   return result;
 }
 
-namespace {
-constexpr std::uint32_t kIterativeEnvStateVersion = 1;
-}  // namespace
-
 std::vector<std::uint8_t> IterativeRoutingEnv::save_state() const {
   std::ostringstream os;
-  nn::write_pod(os, kIterativeEnvStateVersion);
-  rl::write_rng_state(os, rng_);
-  nn::write_pod(os, static_cast<std::uint8_t>(mode_ == Mode::kTest ? 1 : 0));
-  nn::write_pod(os, static_cast<std::uint64_t>(scenario_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(sequence_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(test_cursor_));
+  cursor_.write_state(os);
   nn::write_pod(os, static_cast<std::uint8_t>(in_sequence_ ? 1 : 0));
   nn::write_pod(os, static_cast<std::int32_t>(t_));
   nn::write_pod(os, static_cast<std::int32_t>(edge_cursor_));
@@ -230,27 +140,7 @@ std::vector<std::uint8_t> IterativeRoutingEnv::save_state() const {
 
 void IterativeRoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
   std::istringstream is(std::string(blob.begin(), blob.end()));
-
-  const auto version =
-      nn::read_pod<std::uint32_t>(is, "IterativeRoutingEnv state version");
-  if (version != kIterativeEnvStateVersion) {
-    throw util::IoError("unsupported IterativeRoutingEnv state version " +
-                        std::to_string(version));
-  }
-  util::Rng rng(0);
-  rl::read_rng_state(is, rng, "IterativeRoutingEnv rng");
-  const auto mode_flag =
-      nn::read_pod<std::uint8_t>(is, "IterativeRoutingEnv mode");
-  if (mode_flag > 1) {
-    throw util::IoError("corrupt value in field 'IterativeRoutingEnv mode'");
-  }
-  const Mode mode = mode_flag != 0 ? Mode::kTest : Mode::kTrain;
-  const auto scenario_idx =
-      nn::read_pod<std::uint64_t>(is, "IterativeRoutingEnv scenario index");
-  const auto sequence_idx =
-      nn::read_pod<std::uint64_t>(is, "IterativeRoutingEnv sequence index");
-  const auto test_cursor =
-      nn::read_pod<std::uint64_t>(is, "IterativeRoutingEnv test cursor");
+  EpisodeCursor::Position pos = cursor_.read_state(is);
   const auto in_sequence_flag =
       nn::read_pod<std::uint8_t>(is, "IterativeRoutingEnv in_sequence");
   if (in_sequence_flag > 1) {
@@ -278,26 +168,14 @@ void IterativeRoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
     throw util::IoError("trailing bytes after IterativeRoutingEnv state");
   }
 
-  if (scenario_idx >= scenarios_.size()) {
-    throw util::IoError("IterativeRoutingEnv scenario index " +
-                        std::to_string(scenario_idx) + " out of range (" +
-                        std::to_string(scenarios_.size()) + " scenarios)");
-  }
-  const Scenario& scenario = scenarios_[static_cast<std::size_t>(scenario_idx)];
-  const auto& sequences = mode == Mode::kTrain ? scenario.train_sequences
-                                               : scenario.test_sequences;
-  if (sequence_idx >= sequences.size()) {
-    throw util::IoError("IterativeRoutingEnv sequence index " +
-                        std::to_string(sequence_idx) + " out of range");
-  }
   const auto seq_len =
-      static_cast<std::int32_t>(sequences[sequence_idx].size());
+      static_cast<std::int32_t>(cursor_.sequence_at(pos).size());
   if (t < 0 || t > seq_len) {
     throw util::IoError("IterativeRoutingEnv t " + std::to_string(t) +
                         " out of range [0, " + std::to_string(seq_len) + "]");
   }
-  const auto edges =
-      static_cast<std::uint64_t>(scenario.graph.num_edges());
+  const auto edges = static_cast<std::uint64_t>(
+      cursor_.scenario_at(pos).graph.num_edges());
   if (pending_count != 0 && pending_count != edges) {
     throw util::IoError(
         "IterativeRoutingEnv pending weight count " +
@@ -310,11 +188,7 @@ void IterativeRoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
                         std::to_string(edge_cursor) + " out of range");
   }
 
-  rng_ = rng;
-  mode_ = mode;
-  scenario_idx_ = static_cast<std::size_t>(scenario_idx);
-  sequence_idx_ = static_cast<std::size_t>(sequence_idx);
-  test_cursor_ = static_cast<std::size_t>(test_cursor);
+  cursor_.restore(std::move(pos));
   in_sequence_ = in_sequence_flag != 0;
   t_ = t;
   edge_cursor_ = edge_cursor;

@@ -43,61 +43,57 @@ struct IterativeEnvConfig {
 
 class IterativeRoutingEnv final : public rl::Env {
  public:
-  using Mode = RoutingEnv::Mode;
+  using Mode = EpisodeCursor::Mode;
 
+  // Throws std::invalid_argument on the scenario checks of EpisodeCursor
+  // or a bad gamma range.
   IterativeRoutingEnv(std::vector<Scenario> scenarios,
                       IterativeEnvConfig config, std::uint64_t seed);
 
+  // Also ends the current sequence: the next reset() starts a fresh one.
   void set_mode(Mode mode);
 
   rl::Observation reset() override;
   StepResult step(std::span<const double> action) override;
   int action_dim() const override { return 2; }
 
-  // Checkpoint support (see RoutingEnv): adds the mid-DM micro-step
-  // position (edge cursor and pending weight vector) to the base state.
+  // Checkpoint support (see RoutingEnv): the cursor's prefix
+  // (EpisodeCursor::write_state), then u8 in_sequence, i32 t, i32 edge
+  // cursor, u64 pending-weight count and that many f64 weights, f64 last
+  // ratio — the mid-DM micro-step position on top of the base state.
   std::vector<std::uint8_t> save_state() const override;
   void restore_state(std::span<const std::uint8_t> blob) override;
 
   double last_ratio() const { return last_ratio_; }
-  const graph::DiGraph& current_graph() const;
+  const graph::DiGraph& current_graph() const {
+    return cursor_.scenario().graph;
+  }
   // Micro-steps per demand-matrix timestep (= current |E|).
   int edges_per_step() const { return current_graph().num_edges(); }
-  Mode mode() const { return mode_; }
-  // Total (scenario, test sequence) pairs — one test episode each.
-  std::size_t num_test_episodes() const;
 
   // Parallel-evaluation support (see RoutingEnv): a test unit is one
   // (scenario, test sequence) pair; each unit spans several episodes here
   // (one per demand matrix).  seek_test_unit requires kTest mode.
-  std::size_t num_test_units() const;
+  std::size_t num_test_units() const { return cursor_.num_test_units(); }
   int episodes_in_unit(std::size_t unit) const;
   void seek_test_unit(std::size_t unit);
 
-  mcf::OptimalCache& cache() { return *cache_; }
-
-  // See RoutingEnv: vectorised instances stepping the same scenarios can
-  // share one internally-locked LP cache.
-  std::shared_ptr<mcf::OptimalCache> shared_cache() const { return cache_; }
-  void set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache);
+  // See EpisodeCursor: vectorised instances share one LP cache.
+  std::shared_ptr<mcf::OptimalCache> shared_cache() const {
+    return cursor_.shared_cache();
+  }
+  void set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache) {
+    cursor_.set_shared_cache(std::move(cache));
+  }
 
   // gamma value produced by mapping action component a in [-1,1].
   double map_gamma(double a) const;
 
  private:
-  const traffic::DemandSequence& current_sequence() const;
   rl::Observation build_iterative_observation() const;
-  void start_dm_step();
 
-  std::vector<Scenario> scenarios_;
+  EpisodeCursor cursor_;
   IterativeEnvConfig config_;
-  util::Rng rng_;
-  std::shared_ptr<mcf::OptimalCache> cache_;
-
-  Mode mode_ = Mode::kTrain;
-  std::size_t scenario_idx_ = 0;
-  std::size_t sequence_idx_ = 0;
-  std::size_t test_cursor_ = 0;
   bool in_sequence_ = false;  // mid-sequence: reset() continues it
   int t_ = 0;           // index of the DM the in-progress weights route
   int edge_cursor_ = 0;  // which edge is being set this micro-step

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "rl/checkpoint.hpp"
 #include "routing/baselines.hpp"
 #include "routing/routing.hpp"
 #include "util/error.hpp"
@@ -15,68 +14,11 @@ using rl::Observation;
 
 RoutingEnv::RoutingEnv(std::vector<Scenario> scenarios, EnvConfig config,
                        std::uint64_t seed)
-    : scenarios_(std::move(scenarios)),
-      config_(config),
-      rng_(seed),
-      cache_(std::make_shared<mcf::OptimalCache>()) {
-  if (scenarios_.empty()) {
-    throw std::invalid_argument("RoutingEnv: no scenarios");
-  }
-  for (const auto& s : scenarios_) {
-    if (s.train_sequences.empty() || s.test_sequences.empty()) {
-      throw std::invalid_argument("RoutingEnv: scenario missing sequences");
-    }
-    for (const auto& seq : s.train_sequences) {
-      if (static_cast<int>(seq.size()) <= config_.memory) {
-        throw std::invalid_argument("RoutingEnv: sequence shorter than memory");
-      }
-    }
-  }
-}
-
-void RoutingEnv::set_mode(Mode mode) {
-  mode_ = mode;
-  test_cursor_ = 0;
-}
-
-void RoutingEnv::set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache) {
-  if (!cache) {
-    throw std::invalid_argument("RoutingEnv::set_shared_cache: null cache");
-  }
-  cache_ = std::move(cache);
-}
-
-const Scenario& RoutingEnv::current_scenario() const {
-  return scenarios_[scenario_idx_];
-}
-
-const graph::DiGraph& RoutingEnv::current_graph() const {
-  return current_scenario().graph;
-}
-
-const traffic::DemandSequence& RoutingEnv::current_sequence() const {
-  const Scenario& s = current_scenario();
-  return mode_ == Mode::kTrain ? s.train_sequences[sequence_idx_]
-                               : s.test_sequences[sequence_idx_];
-}
+    : cursor_(std::move(scenarios), config.memory, seed, "RoutingEnv"),
+      config_(config) {}
 
 int RoutingEnv::episode_length() const {
-  return static_cast<int>(current_sequence().size()) - config_.memory;
-}
-
-std::size_t RoutingEnv::num_test_episodes() const {
-  std::size_t total = 0;
-  for (const auto& s : scenarios_) total += s.test_sequences.size();
-  return total;
-}
-
-int RoutingEnv::episodes_in_unit(std::size_t /*unit*/) const { return 1; }
-
-void RoutingEnv::seek_test_unit(std::size_t unit) {
-  if (mode_ != Mode::kTest) {
-    throw std::logic_error("RoutingEnv::seek_test_unit: requires kTest mode");
-  }
-  test_cursor_ = unit % num_test_units();
+  return static_cast<int>(cursor_.sequence().size()) - config_.memory;
 }
 
 int RoutingEnv::action_dim() const {
@@ -153,26 +95,10 @@ Observation RoutingEnv::build_observation(const Scenario& scenario,
 }
 
 Observation RoutingEnv::reset() {
-  if (mode_ == Mode::kTrain) {
-    scenario_idx_ = rng_.uniform_index(scenarios_.size());
-    sequence_idx_ =
-        rng_.uniform_index(current_scenario().train_sequences.size());
-  } else {
-    // Deterministic sweep over (scenario, test sequence).
-    std::size_t total = 0;
-    for (const auto& s : scenarios_) total += s.test_sequences.size();
-    std::size_t idx = test_cursor_ % total;
-    scenario_idx_ = 0;
-    while (idx >= scenarios_[scenario_idx_].test_sequences.size()) {
-      idx -= scenarios_[scenario_idx_].test_sequences.size();
-      ++scenario_idx_;
-    }
-    sequence_idx_ = idx;
-    test_cursor_ = (test_cursor_ + 1) % total;
-  }
+  cursor_.next_sequence();
   t_ = config_.memory;
   episode_steps_ = 0;
-  return build_observation(current_scenario(), current_sequence(), t_,
+  return build_observation(cursor_.scenario(), cursor_.sequence(), t_,
                            config_.memory, config_.node_features);
 }
 
@@ -181,7 +107,7 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
   if (static_cast<int>(action.size()) != action_dim()) {
     throw std::invalid_argument("RoutingEnv::step: action size mismatch");
   }
-  const auto& seq = current_sequence();
+  const auto& seq = cursor_.sequence();
   if (t_ >= static_cast<int>(seq.size())) {
     throw std::logic_error(
         "RoutingEnv::step: episode is over — call reset() first");
@@ -208,20 +134,9 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
     strategy = routing::softmin_routing_per_destination(g, weights_by_dest,
                                                         config_.softmin);
   }
-  const auto sim = routing::simulate(g, strategy, dm);
-
-  double achieved = 0.0;
-  double optimal = 0.0;
-  if (config_.objective == Objective::kMaxUtilisation) {
-    achieved = sim.u_max;
-    optimal = cache_->u_max(g, dm);
-  } else {
-    achieved = routing::mean_utilisation(g, sim);
-    optimal = cache_->mean_util(g, dm);
-  }
-
+  last_ratio_ = utilisation_ratio(g, strategy, dm, cursor_.cache(),
+                                  config_.objective);
   StepResult result;
-  last_ratio_ = optimal > 0.0 ? achieved / optimal : 1.0;
   result.reward = -last_ratio_;  // paper Eq. 2
   ++t_;
   ++episode_steps_;
@@ -237,23 +152,14 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
   result.truncated = result.done;
   // Valid even at t_ == seq.size(): the observation reads the history
   // window [t_ - memory, t_), which ends at the final routed DM.
-  result.obs = build_observation(current_scenario(), seq, t_,
+  result.obs = build_observation(cursor_.scenario(), seq, t_,
                                  config_.memory, config_.node_features);
   return result;
 }
 
-namespace {
-constexpr std::uint32_t kEnvStateVersion = 1;
-}  // namespace
-
 std::vector<std::uint8_t> RoutingEnv::save_state() const {
   std::ostringstream os;
-  nn::write_pod(os, kEnvStateVersion);
-  rl::write_rng_state(os, rng_);
-  nn::write_pod(os, static_cast<std::uint8_t>(mode_ == Mode::kTest ? 1 : 0));
-  nn::write_pod(os, static_cast<std::uint64_t>(scenario_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(sequence_idx_));
-  nn::write_pod(os, static_cast<std::uint64_t>(test_cursor_));
+  cursor_.write_state(os);
   nn::write_pod(os, static_cast<std::int32_t>(t_));
   nn::write_pod(os, static_cast<std::int32_t>(episode_steps_));
   nn::write_pod(os, last_ratio_);
@@ -263,26 +169,7 @@ std::vector<std::uint8_t> RoutingEnv::save_state() const {
 
 void RoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
   std::istringstream is(std::string(blob.begin(), blob.end()));
-
-  const auto version =
-      nn::read_pod<std::uint32_t>(is, "RoutingEnv state version");
-  if (version != kEnvStateVersion) {
-    throw util::IoError("unsupported RoutingEnv state version " +
-                        std::to_string(version));
-  }
-  util::Rng rng(0);
-  rl::read_rng_state(is, rng, "RoutingEnv rng");
-  const auto mode_flag = nn::read_pod<std::uint8_t>(is, "RoutingEnv mode");
-  if (mode_flag > 1) {
-    throw util::IoError("corrupt value in field 'RoutingEnv mode'");
-  }
-  const Mode mode = mode_flag != 0 ? Mode::kTest : Mode::kTrain;
-  const auto scenario_idx =
-      nn::read_pod<std::uint64_t>(is, "RoutingEnv scenario index");
-  const auto sequence_idx =
-      nn::read_pod<std::uint64_t>(is, "RoutingEnv sequence index");
-  const auto test_cursor =
-      nn::read_pod<std::uint64_t>(is, "RoutingEnv test cursor");
+  EpisodeCursor::Position pos = cursor_.read_state(is);
   const auto t = nn::read_pod<std::int32_t>(is, "RoutingEnv t");
   const auto episode_steps =
       nn::read_pod<std::int32_t>(is, "RoutingEnv episode steps");
@@ -291,20 +178,8 @@ void RoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
     throw util::IoError("trailing bytes after RoutingEnv state");
   }
 
-  if (scenario_idx >= scenarios_.size()) {
-    throw util::IoError("RoutingEnv scenario index " +
-                        std::to_string(scenario_idx) + " out of range (" +
-                        std::to_string(scenarios_.size()) + " scenarios)");
-  }
-  const Scenario& scenario = scenarios_[static_cast<std::size_t>(scenario_idx)];
-  const auto& sequences = mode == Mode::kTrain ? scenario.train_sequences
-                                               : scenario.test_sequences;
-  if (sequence_idx >= sequences.size()) {
-    throw util::IoError("RoutingEnv sequence index " +
-                        std::to_string(sequence_idx) + " out of range");
-  }
   const auto seq_len =
-      static_cast<std::int32_t>(sequences[sequence_idx].size());
+      static_cast<std::int32_t>(cursor_.sequence_at(pos).size());
   if (t < 0 || t > seq_len) {
     throw util::IoError("RoutingEnv t " + std::to_string(t) +
                         " out of range [0, " + std::to_string(seq_len) + "]");
@@ -313,14 +188,27 @@ void RoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
     throw util::IoError("negative value in field 'RoutingEnv episode steps'");
   }
 
-  rng_ = rng;
-  mode_ = mode;
-  scenario_idx_ = static_cast<std::size_t>(scenario_idx);
-  sequence_idx_ = static_cast<std::size_t>(sequence_idx);
-  test_cursor_ = static_cast<std::size_t>(test_cursor);
+  cursor_.restore(std::move(pos));
   t_ = t;
   episode_steps_ = episode_steps;
   last_ratio_ = last_ratio;
+}
+
+double utilisation_ratio(const graph::DiGraph& g,
+                         const routing::Routing& strategy,
+                         const traffic::DemandMatrix& dm,
+                         mcf::OptimalCache& cache, Objective objective) {
+  const auto sim = routing::simulate(g, strategy, dm);
+  double achieved = 0.0;
+  double optimal = 0.0;
+  if (objective == Objective::kMaxUtilisation) {
+    achieved = sim.u_max;
+    optimal = cache.u_max(g, dm);
+  } else {
+    achieved = routing::mean_utilisation(g, sim);
+    optimal = cache.mean_util(g, dm);
+  }
+  return optimal > 0.0 ? achieved / optimal : 1.0;
 }
 
 std::vector<std::unique_ptr<RoutingEnv>> make_vec_envs(

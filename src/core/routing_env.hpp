@@ -12,18 +12,18 @@
 //    by the multicommodity-flow LP and memoised.
 //
 // The environment can hold several scenarios (graph + sequences); each
-// reset picks one, which is how multi-topology generalisation training
-// works (paper §VIII-D, Figure 8).
+// reset picks one through its EpisodeCursor, which is how multi-topology
+// generalisation training works (paper §VIII-D, Figure 8).
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "core/episode_cursor.hpp"
 #include "core/scenario.hpp"
 #include "mcf/cache.hpp"
 #include "rl/env.hpp"
 #include "routing/softmin.hpp"
-#include "util/rng.hpp"
 
 namespace gddr::core {
 
@@ -73,25 +73,26 @@ struct EnvConfig {
 
 class RoutingEnv final : public rl::Env {
  public:
-  enum class Mode { kTrain, kTest };
+  using Mode = EpisodeCursor::Mode;
 
+  // Throws std::invalid_argument on the scenario checks of EpisodeCursor.
   RoutingEnv(std::vector<Scenario> scenarios, EnvConfig config,
              std::uint64_t seed);
 
   // Train mode samples (scenario, train sequence) randomly; test mode
   // cycles deterministically through every (scenario, test sequence) pair.
-  void set_mode(Mode mode);
-  Mode mode() const { return mode_; }
+  void set_mode(Mode mode) { cursor_.set_mode(mode); }
 
   rl::Observation reset() override;
   StepResult step(std::span<const double> action) override;
   int action_dim() const override;
 
   // Checkpoint support (rl::Env contract): the complete dynamic state —
-  // sampling RNG, mode, scenario/sequence/test cursors, episode position
-  // — as an opaque blob.  restore_state validates every field against the
-  // configured scenarios and throws util::IoError naming the offending
-  // field, leaving the env unchanged on failure.
+  // the cursor's prefix (EpisodeCursor::write_state), then i32 t, i32
+  // episode steps, f64 last ratio — as an opaque blob.  restore_state
+  // validates every field against the configured scenarios and throws
+  // util::IoError naming the offending field, leaving the env unchanged
+  // on failure.
   std::vector<std::uint8_t> save_state() const override;
   void restore_state(std::span<const std::uint8_t> blob) override;
 
@@ -99,27 +100,29 @@ class RoutingEnv final : public rl::Env {
   // paper's Figures 6 and 8 plot; reward is its negation).
   double last_ratio() const { return last_ratio_; }
 
-  const graph::DiGraph& current_graph() const;
-  const Scenario& current_scenario() const;
+  const graph::DiGraph& current_graph() const {
+    return cursor_.scenario().graph;
+  }
+  const Scenario& current_scenario() const { return cursor_.scenario(); }
   int episode_length() const;  // steps per episode in the current scenario
-  // Total (scenario, test sequence) pairs — one test episode each.
-  std::size_t num_test_episodes() const;
 
   // Parallel-evaluation support: a test *unit* is one (scenario, test
-  // sequence) pair, the granularity at which evaluation is farmed out to
-  // workers.  seek_test_unit positions the deterministic test sweep so
-  // the next reset() starts unit `unit`; requires kTest mode.
-  std::size_t num_test_units() const { return num_test_episodes(); }
-  int episodes_in_unit(std::size_t unit) const;
-  void seek_test_unit(std::size_t unit);
+  // sequence) pair — one episode here — the granularity at which
+  // evaluation is farmed out to workers.  seek_test_unit positions the
+  // deterministic test sweep so the next reset() starts unit `unit`;
+  // requires kTest mode.
+  std::size_t num_test_units() const { return cursor_.num_test_units(); }
+  int episodes_in_unit(std::size_t /*unit*/) const { return 1; }
+  void seek_test_unit(std::size_t unit) { cursor_.seek_test_unit(unit); }
 
-  mcf::OptimalCache& cache() { return *cache_; }
-
-  // The memoised LP oracle is internally locked, so instances stepping
-  // the same scenarios concurrently (vectorised collection) can share one
-  // cache instead of each re-solving identical LPs.
-  std::shared_ptr<mcf::OptimalCache> shared_cache() const { return cache_; }
-  void set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache);
+  mcf::OptimalCache& cache() { return cursor_.cache(); }
+  // See EpisodeCursor: vectorised instances share one LP cache.
+  std::shared_ptr<mcf::OptimalCache> shared_cache() const {
+    return cursor_.shared_cache();
+  }
+  void set_shared_cache(std::shared_ptr<mcf::OptimalCache> cache) {
+    cursor_.set_shared_cache(std::move(cache));
+  }
 
   // Builds the observation for position `t` (the action decided there is
   // evaluated on demand matrix index t).  Exposed for the iterative
@@ -130,21 +133,21 @@ class RoutingEnv final : public rl::Env {
       NodeFeatureMode node_features = NodeFeatureMode::kInOutSums);
 
  private:
-  const traffic::DemandSequence& current_sequence() const;
-
-  std::vector<Scenario> scenarios_;
+  EpisodeCursor cursor_;
   EnvConfig config_;
-  util::Rng rng_;
-  std::shared_ptr<mcf::OptimalCache> cache_;
-
-  Mode mode_ = Mode::kTrain;
-  std::size_t scenario_idx_ = 0;
-  std::size_t sequence_idx_ = 0;
-  std::size_t test_cursor_ = 0;  // deterministic test-episode cycling
   int t_ = 0;                    // index of the DM the next action routes
   int episode_steps_ = 0;        // steps taken in the current episode
   double last_ratio_ = 0.0;
 };
+
+// U_agent / U_opt of `strategy` on `dm` under `objective` (optimum
+// memoised in `cache`), or 1.0 when the optimum is 0: the paper's Eq.-2
+// reward negated, and the score of fixed schemes in evaluation.
+double utilisation_ratio(const graph::DiGraph& g,
+                         const routing::Routing& strategy,
+                         const traffic::DemandMatrix& dm,
+                         mcf::OptimalCache& cache,
+                         Objective objective = Objective::kMaxUtilisation);
 
 // Builds `n` independent RoutingEnv instances over the same scenarios for
 // vectorised collection: env i is seeded `seed + i` (its own scenario /

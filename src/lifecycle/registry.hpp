@@ -67,7 +67,7 @@ class ModelRegistry {
   ModelRegistry(std::string dir, RegistryConfig config);
 
   // Publishes the kParameters section of `checkpoint_path` (any
-  // GDDRPARM v1/v2 file — full trainer checkpoints are stripped to
+  // GDDRPARM v2 file — full trainer checkpoints are stripped to
   // parameters only) as the next version.  Validates container CRCs and
   // every parameter shape against the configured architecture first.
   // Returns the new version id.  Throws util::IoError on validation or

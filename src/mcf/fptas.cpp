@@ -21,11 +21,19 @@ struct Commodity {
   double d;
 };
 
-// Max utilisation if every demand takes its unit-weight shortest path; a
-// cheap constant-factor congestion estimate used to pre-scale demands so
-// the phase count of the multiplicative-weights loop stays modest.
-double shortest_path_u_max(const DiGraph& g, const DemandMatrix& dm) {
+// Two bounds on the optimal max utilisation U* from one hop-count
+// shortest-path pass: upper = U_sp, the max utilisation when every demand
+// takes its shortest path (a feasible routing), and lower, the volume
+// bound (each unit of s->t flow crosses at least hops(s,t) edges, so
+// U* * sum(c) >= sum(d * hops)).
+struct CongestionBounds {
+  double upper = 0.0;
+  double lower = 0.0;
+};
+
+CongestionBounds congestion_bounds(const DiGraph& g, const DemandMatrix& dm) {
   std::vector<double> load(static_cast<size_t>(g.num_edges()), 0.0);
+  double volume = 0.0;  // sum of d * hops
   const auto w = graph::unit_weights(g);
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     if (dm.out_sum(s) <= 0.0) continue;
@@ -40,15 +48,20 @@ double shortest_path_u_max(const DiGraph& g, const DemandMatrix& dm) {
           throw std::runtime_error("fptas: demand pair unreachable");
         }
         load[static_cast<size_t>(pe)] += d;
+        volume += d;
         v = g.edge(pe).src;
       }
     }
   }
-  double u = 0.0;
+  CongestionBounds b;
+  double total_capacity = 0.0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    u = std::max(u, load[static_cast<size_t>(e)] / g.edge(e).capacity);
+    const double c = g.edge(e).capacity;
+    b.upper = std::max(b.upper, load[static_cast<size_t>(e)] / c);
+    total_capacity += c;
   }
-  return u;
+  b.lower = volume / total_capacity;
+  return b;
 }
 
 }  // namespace
@@ -71,11 +84,10 @@ double max_concurrent_flow(const DiGraph& g, const DemandMatrix& dm,
   }
   if (commodities.empty()) return 0.0;
 
-  // Pre-scale so lambda* is O(1): shortest-path routing achieves
-  // utilisation U_sp, hence lambda*(dm) >= 1/U_sp and (since the optimum
-  // can't beat 1 unit of congestion per unit of scaling) lambda*(scaled)
-  // lands near 1.  The returned value is unscaled at the end.
-  const double u_sp = shortest_path_u_max(g, dm);
+  // Pre-scale by U_sp so the scaled problem's lambda* = U_sp / U* is at
+  // least 1; the returned value is unscaled at the end.
+  const CongestionBounds bounds = congestion_bounds(g, dm);
+  const double u_sp = bounds.upper;
   if (u_sp <= 0.0) return 0.0;
   const double scale = u_sp;  // scaled demand d' = d / u_sp
   for (auto& c : commodities) c.d /= scale;
@@ -95,14 +107,14 @@ double max_concurrent_flow(const DiGraph& g, const DemandMatrix& dm,
     return d;
   };
 
+  // While the loop runs every edge carries less than c_e * log_ratio, so
+  // t completed phases are a feasible flow of value t / log_ratio: t <
+  // lambda* * log_ratio.  lambda* = U_sp / U* is unbounded above, so the
+  // cap bounds it with U* >= bounds.lower; the cap only guards termination.
+  const double log_ratio = std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
+  const double lambda_upper = u_sp / bounds.lower;
+  const double max_phases = std::ceil(lambda_upper * log_ratio) + 1.0;
   int completed_phases = 0;
-  // Phase bound: lambda* of the scaled problem is at most ~1 (shortest-path
-  // routing achieves utilisation 1 on it), so the standard analysis bounds
-  // phases by O(log(m)/eps^2); the generous cap below only guards against
-  // pathological inputs.
-  const int max_phases = static_cast<int>(std::ceil(
-      4.0 * std::log(m + 2.0) / (eps * eps))) + 64;
-
   while (total_length() < 1.0 && completed_phases < max_phases) {
     for (const auto& c : commodities) {
       double remaining = c.d;
@@ -132,7 +144,6 @@ double max_concurrent_flow(const DiGraph& g, const DemandMatrix& dm,
     if (total_length() < 1.0) ++completed_phases;
   }
 
-  const double log_ratio = std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
   const double lambda_scaled =
       static_cast<double>(completed_phases) / log_ratio;
   return lambda_scaled / scale;

@@ -99,9 +99,7 @@ void ContainerWriter::write(const std::string& path) const {
     write_pod(os, static_cast<std::uint64_t>(payload.size()));
     os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   }
-  // Checksum trailer: one CRC32 per section, in on-disk order.  Readers
-  // that predate the trailer stop after the declared sections and never
-  // see it.
+  // Checksum trailer: one CRC32 per section, in on-disk order.
   os.write(kCrcMagic, sizeof kCrcMagic);
   write_pod(os, static_cast<std::uint32_t>(sections_.size()));
   for (const auto& [id, payload] : sections_) {
@@ -121,18 +119,10 @@ ContainerReader::ContainerReader(const std::string& path) : path_(path) {
   if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     throw IoError("bad magic in " + path + " (not a GDDRPARM file)");
   }
-  version_ = read_pod<std::uint32_t>(is, "version");
-
-  if (version_ == kFormatVersionLegacy) {
-    // v1: everything after the version field is the parameter body.
-    std::ostringstream body(std::ios::binary);
-    body << is.rdbuf();
-    sections_.emplace_back(Section::kParameters, body.str());
-    return;
-  }
-  if (version_ != kFormatVersionSectioned) {
-    throw IoError("unsupported version " + std::to_string(version_) + " in " +
-                  path + " (supported: 1, 2)");
+  const auto version = read_pod<std::uint32_t>(is, "version");
+  if (version != kFormatVersionSectioned) {
+    throw IoError("unsupported version " + std::to_string(version) + " in " +
+                  path + " (only version 2 with a checksum trailer is read)");
   }
 
   const auto count = read_pod<std::uint32_t>(is, "section count");
@@ -145,12 +135,14 @@ ContainerReader::ContainerReader(const std::string& path) : path_(path) {
     sections_.emplace_back(static_cast<Section>(id), std::move(payload));
   }
 
-  // Checksum trailer (optional for backward compatibility): EOF right
-  // after the last section is a legacy unchecksummed v2 file; anything
-  // else must be a complete, matching trailer.
+  // Checksum trailer: every v2 writer emits it, so a file ending right
+  // after its last section is rejected like any other damaged trailer.
   char trailer_magic[4];
   is.read(trailer_magic, sizeof trailer_magic);
-  if (is.gcount() == 0) return;  // unchecksummed v2 (pre-trailer writer)
+  if (is.gcount() == 0) {
+    throw IoError("missing checksum trailer in " + path +
+                  " (file ends after its last section)");
+  }
   if (is.gcount() != sizeof trailer_magic ||
       std::memcmp(trailer_magic, kCrcMagic, sizeof kCrcMagic) != 0) {
     throw IoError("corrupt checksum trailer in " + path +

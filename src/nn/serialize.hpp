@@ -1,25 +1,19 @@
 // Parameter and checkpoint (de)serialisation.
 //
-// Container format (little-endian binary), magic "GDDRPARM":
+// Container format (little-endian binary), magic "GDDRPARM", version 2:
+// u32 version, u32 section count, then per section {u32 section id, u64
+// payload bytes, payload}, then a checksum trailer.  A plain parameter
+// file holds a single kParameters section; trainer checkpoints add Adam
+// moments, RNG streams, trainer counters, collector slots and env states
+// as further sections (see rl/checkpoint.hpp).
 //
-//  * version 1 (legacy, still loadable): u32 version, u64 parameter
-//    count, then per parameter {u32 rows, u32 cols, f32 data...}.
-//  * version 2 (written now): u32 version, u32 section count, then per
-//    section {u32 section id, u64 payload bytes, payload}.  A plain
-//    parameter file is a v2 container with a single kParameters section
-//    whose payload is exactly the v1 body; trainer checkpoints add Adam
-//    moments, RNG streams, trainer counters, collector slots and env
-//    states as further sections (see rl/checkpoint.hpp).
-//
-// Bit-rot detection: v2 files written now end with a checksum trailer —
-// magic "CRCS", u32 count (must equal the section count), then one
-// util::crc32 per section payload in on-disk order.  The reader verifies
-// every checksum up front and names the corrupted *section* on mismatch,
-// instead of surfacing whatever parse error the flipped byte happens to
-// cause deep inside the payload.  v2 files without the trailer (written
-// before this extension) still load — a file ending exactly after its
-// last section is accepted as unchecksummed — and old readers ignore the
-// trailer because they never read past the declared sections.
+// Bit-rot detection: the checksum trailer is magic "CRCS", u32 count
+// (must equal the section count), then one util::crc32 per section
+// payload in on-disk order.  The reader verifies every checksum up front
+// and names the corrupted *section* on mismatch, instead of surfacing
+// whatever parse error the flipped byte happens to cause deep inside the
+// payload.  Any other version, and a file without the trailer, is
+// rejected with util::IoError.
 //
 // Safety properties:
 //  * writes are crash-safe (tmp + fsync + rename via
@@ -46,12 +40,11 @@
 
 namespace gddr::nn {
 
-inline constexpr std::uint32_t kFormatVersionLegacy = 1;
 inline constexpr std::uint32_t kFormatVersionSectioned = 2;
 
 // Section ids of the v2 container.  Values are stable on-disk identifiers.
 enum class Section : std::uint32_t {
-  kParameters = 1,  // model weights (v1 body layout)
+  kParameters = 1,  // model weights (see parameters_payload)
   kAdam = 2,        // optimiser step count + first/second moments
   kTrainer = 3,     // PPO RNG stream, counters, learning rate
   kCollector = 4,   // per-env collector slots (RNG, pending observation)
@@ -106,13 +99,10 @@ class ContainerWriter {
 
 class ContainerReader {
  public:
-  // Reads and validates the whole file up front.  Accepts v1 (the body
-  // is surfaced as a single kParameters section) and v2.  Throws
-  // util::IoError on missing/corrupt/unsupported files, naming what was
-  // being read.
+  // Reads and validates the whole file up front.  Throws util::IoError
+  // on missing/corrupt/unsupported files, naming what was being read.
   explicit ContainerReader(const std::string& path);
 
-  std::uint32_t version() const { return version_; }
   bool has(Section id) const;
   // Payload bytes of `id`; throws util::IoError naming the section when
   // absent.
@@ -120,13 +110,12 @@ class ContainerReader {
 
  private:
   std::string path_;
-  std::uint32_t version_ = 0;
   std::vector<std::pair<Section, std::string>> sections_;
 };
 
 // ---- parameter payloads ----
 
-// v1-body layout: u64 count, then {u32 rows, u32 cols, f32 data} each.
+// u64 count, then {u32 rows, u32 cols, f32 data} per parameter.
 std::string parameters_payload(std::span<Parameter* const> params);
 
 // Parses and validates the payload fully (count and every shape against
@@ -142,7 +131,7 @@ void load_parameters_payload(const std::string& payload,
 void save_parameters(const std::string& path,
                      std::span<Parameter* const> params);
 
-// Reads values saved by save_parameters (either format version) into
+// Reads values saved by save_parameters into
 // `params`.  Throws util::IoError on I/O failure, format mismatch, wrong
 // parameter count or any shape mismatch; never half-loads.
 void load_parameters(const std::string& path,

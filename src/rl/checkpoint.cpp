@@ -2,7 +2,7 @@
 // load_checkpoint and the VecEnvCollector slot (de)serialisation.
 //
 // Checkpoint layout (GDDRPARM v2 container, see nn/serialize.hpp):
-//   kParameters — policy weights (v1 body layout)
+//   kParameters — policy weights (nn::parameters_payload layout)
 //   kAdam       — i64 step count, u64 param count, per param {m, v}
 //   kTrainer    — shuffle RNG state, i64 total_env_steps, i64 iterations,
 //                 f64 learning rate

@@ -259,7 +259,7 @@ TEST(RoutingEnv, TestModeCyclesDeterministically) {
       make_scenario(topo::by_name("JanetLike"), tiny_params(), rng));
   RoutingEnv env(std::move(scenarios), tiny_env_config(), 1);
   env.set_mode(RoutingEnv::Mode::kTest);
-  EXPECT_EQ(env.num_test_episodes(), 2U);
+  EXPECT_EQ(env.num_test_units(), 2U);
   env.reset();
   const int first_nodes = env.current_graph().num_nodes();
   env.reset();
@@ -270,13 +270,35 @@ TEST(RoutingEnv, TestModeCyclesDeterministically) {
 }
 
 TEST(RoutingEnv, RejectsTooShortSequences) {
+  // A sequence needs more than `memory` matrices: the history window plus
+  // at least one matrix to route.  Both envs check every train and test
+  // sequence (a short one would make reset() read past its end).
+  const EnvConfig cfg = tiny_env_config();
+  IterativeEnvConfig icfg;
+  icfg.memory = cfg.memory;
   util::Rng rng(13);
   ScenarioParams p = tiny_params();
   p.sequence_length = 2;  // shorter than memory
-  auto scenarios = std::vector<Scenario>{
+  const std::vector<Scenario> all_short{
       make_scenario(topo::by_name("SmallRing"), p, rng)};
-  EXPECT_THROW(RoutingEnv(std::move(scenarios), tiny_env_config(), 1),
+  EXPECT_THROW(RoutingEnv(all_short, cfg, 1), std::invalid_argument);
+  EXPECT_THROW(IterativeRoutingEnv(all_short, icfg, 1),
                std::invalid_argument);
+
+  // Only one test sequence is short, by exactly one matrix too few.
+  std::vector<Scenario> short_test{
+      make_scenario(topo::by_name("SmallRing"), tiny_params(), rng)};
+  short_test.front().test_sequences.front().resize(
+      static_cast<std::size_t>(cfg.memory));
+  EXPECT_THROW(RoutingEnv(short_test, cfg, 1), std::invalid_argument);
+  EXPECT_THROW(IterativeRoutingEnv(short_test, icfg, 1),
+               std::invalid_argument);
+
+  // One more matrix is enough.
+  short_test.front().test_sequences.front().push_back(
+      short_test.front().train_sequences.front().front());
+  EXPECT_NO_THROW(RoutingEnv(short_test, cfg, 1));
+  EXPECT_NO_THROW(IterativeRoutingEnv(short_test, icfg, 1));
 }
 
 TEST(RoutingEnv, BetterActionsBetterReward) {
@@ -351,7 +373,8 @@ TEST(IterativeEnv, SequenceContinuesAcrossEpisodes) {
   env.set_mode(IterativeRoutingEnv::Mode::kTest);
   const int ne = env.edges_per_step();
   const int dms = 12 - 3;
-  EXPECT_EQ(env.num_test_episodes(), static_cast<std::size_t>(dms));
+  EXPECT_EQ(env.num_test_units(), 1U);
+  EXPECT_EQ(env.episodes_in_unit(0), dms);
   for (int dm = 0; dm < dms; ++dm) {
     env.reset();
     int steps = 0;

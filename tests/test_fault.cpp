@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/routing_env.hpp"
 #include "mcf/cache.hpp"
 #include "mcf/optimal.hpp"
+#include "nn/serialize.hpp"
 #include "rl/ppo.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/generators.hpp"
@@ -26,6 +28,7 @@
 #include "util/fault.hpp"
 #include "util/fs.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gddr {
 namespace {
@@ -557,6 +560,12 @@ TEST(EnvState, CorruptBlobRejectedWithoutStateChange) {
   for (std::size_t i = 0; i < 8; ++i) oob[scenario_off + i] = 0xFF;
   EXPECT_THROW(env.restore_state(oob), util::IoError);
 
+  // The test cursor (after the scenario and sequence indices) must name
+  // an existing test unit.
+  auto bad_cursor = good;
+  bad_cursor[scenario_off + 16] = 0x01;
+  EXPECT_THROW(env.restore_state(bad_cursor), util::IoError);
+
   // The failed restores left the env where it was.
   EXPECT_EQ(env.save_state(), good);
 }
@@ -585,6 +594,124 @@ TEST(EnvState, IterativeEnvRoundTripMidMicroStep) {
     if (ra.done) {
       ASSERT_EQ(a.reset().flat, b.reset().flat) << "micro-step " << i;
     }
+  }
+}
+
+// The env-state blob layout (DESIGN §6): u32 version, the sampling RNG,
+// then the shared episode-cursor fields (u8 mode, u64 scenario index,
+// u64 sequence index, u64 test cursor), then each env's own fields.  The
+// expected bytes are written field by field; the RNG is replayed with the
+// train-mode draw order (scenario, then one of its train sequences).
+std::vector<std::uint8_t> blob_bytes(const std::ostringstream& os) {
+  const std::string s = os.str();
+  return {s.begin(), s.end()};
+}
+
+void write_rng_words(std::ostream& os, const util::Rng& rng) {
+  const util::Rng::State state = rng.state();
+  for (const std::uint64_t word : state.s) nn::write_pod(os, word);
+  nn::write_pod(os, state.cached_normal);
+  nn::write_pod(os, static_cast<std::uint8_t>(state.has_cached_normal));
+}
+
+void write_cursor(std::ostream& os, const util::Rng& rng, bool test_mode,
+                  std::uint64_t scenario, std::uint64_t sequence,
+                  std::uint64_t test_cursor) {
+  nn::write_pod(os, std::uint32_t{1});  // env state version
+  write_rng_words(os, rng);
+  nn::write_pod(os, static_cast<std::uint8_t>(test_mode ? 1 : 0));
+  nn::write_pod(os, scenario);
+  nn::write_pod(os, sequence);
+  nn::write_pod(os, test_cursor);
+}
+
+// The RNG after one train-mode draw, and what it drew.
+struct TrainDraw {
+  util::Rng rng;
+  std::uint64_t scenario = 0;
+  std::uint64_t sequence = 0;
+};
+
+TrainDraw train_draw(std::uint64_t seed,
+                     const std::vector<core::Scenario>& scenarios) {
+  TrainDraw d{util::Rng(seed)};
+  d.scenario = d.rng.uniform_index(scenarios.size());
+  d.sequence =
+      d.rng.uniform_index(scenarios[d.scenario].train_sequences.size());
+  return d;
+}
+
+std::vector<core::Scenario> two_layout_scenarios() {
+  util::Rng srng(44);
+  core::ScenarioParams p = tiny_scenario_params();
+  p.train_sequences = 3;
+  p.test_sequences = 2;
+  return {core::make_scenario(topo::by_name("SmallRing"), p, srng),
+          core::make_scenario(topo::by_name("JanetLike"), p, srng)};
+}
+
+TEST(EnvState, BlobLayoutFollowsDocumentedFieldOrder) {
+  const auto scenarios = two_layout_scenarios();
+  constexpr std::uint64_t kSeed = 17;
+
+  // RoutingEnv, train mode: one reset, two steps.
+  core::EnvConfig cfg;
+  cfg.memory = 3;
+  core::RoutingEnv env(scenarios, cfg, kSeed);
+  env.reset();
+  const std::vector<double> action(
+      static_cast<std::size_t>(env.action_dim()), 0.25);
+  env.step(action);
+  env.step(action);
+  const TrainDraw draw = train_draw(kSeed, scenarios);
+  ASSERT_EQ(env.current_graph().num_nodes(),
+            scenarios[draw.scenario].graph.num_nodes());
+  {
+    std::ostringstream os;
+    write_cursor(os, draw.rng, false, draw.scenario, draw.sequence, 0);
+    nn::write_pod(os, std::int32_t{cfg.memory + 2});  // t
+    nn::write_pod(os, std::int32_t{2});               // episode steps
+    nn::write_pod(os, env.last_ratio());
+    EXPECT_EQ(env.save_state(), blob_bytes(os));
+  }
+
+  // RoutingEnv, test mode: two resets sweep (scenario 0, test seq 0) then
+  // (scenario 0, test seq 1); the RNG is not drawn.
+  env.set_mode(core::RoutingEnv::Mode::kTest);
+  env.reset();
+  env.reset();
+  {
+    std::ostringstream os;
+    write_cursor(os, draw.rng, true, 0, 1, 2);
+    nn::write_pod(os, std::int32_t{cfg.memory});
+    nn::write_pod(os, std::int32_t{0});
+    nn::write_pod(os, env.last_ratio());
+    EXPECT_EQ(env.save_state(), blob_bytes(os));
+  }
+
+  // IterativeRoutingEnv, train mode: one reset, one full demand-matrix
+  // step (|E| micro-steps), then two micro-steps of the next one.
+  core::IterativeEnvConfig icfg;
+  icfg.memory = 3;
+  core::IterativeRoutingEnv ienv(scenarios, icfg, kSeed);
+  ienv.reset();
+  const int edges = ienv.edges_per_step();
+  const std::vector<double> micro{0.3, -0.2};
+  for (int e = 0; e < edges; ++e) ienv.step(micro);
+  const double ratio = ienv.last_ratio();
+  ienv.reset();
+  ienv.step(micro);
+  ienv.step(micro);
+  {
+    std::ostringstream os;
+    write_cursor(os, draw.rng, false, draw.scenario, draw.sequence, 0);
+    nn::write_pod(os, std::uint8_t{1});               // in_sequence
+    nn::write_pod(os, std::int32_t{icfg.memory + 1});  // t
+    nn::write_pod(os, std::int32_t{2});               // edge cursor
+    nn::write_pod(os, static_cast<std::uint64_t>(edges));
+    for (int e = 0; e < edges; ++e) nn::write_pod(os, e < 2 ? 0.3 : 0.0);
+    nn::write_pod(os, ratio);
+    EXPECT_EQ(ienv.save_state(), blob_bytes(os));
   }
 }
 
@@ -643,6 +770,25 @@ TEST(Experiment, KilledRunResumesBitIdentically) {
 
   std::remove(path.c_str());
   std::remove((path + ".ref").c_str());
+}
+
+TEST(Experiment, PooledTrainingMatchesSerialBitForBit) {
+  // The pool reaches the trainer's collection and update; neither may
+  // change a bit of the result.
+  const long total = 2L * tiny_ppo_config().rollout_steps;
+  core::Experiment serial(experiment_config(""));
+  const auto serial_stats = serial.train(total);
+
+  util::ThreadPool pool(2);
+  core::Experiment pooled(experiment_config(""), &pool);
+  const auto pooled_stats = pooled.train(total);
+
+  expect_params_bitwise_equal(serial.policy().parameters(),
+                              pooled.policy().parameters());
+  ASSERT_EQ(serial_stats.size(), pooled_stats.size());
+  for (std::size_t i = 0; i < serial_stats.size(); ++i) {
+    expect_stats_identical(serial_stats[i], pooled_stats[i]);
+  }
 }
 
 }  // namespace

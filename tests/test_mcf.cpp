@@ -146,6 +146,32 @@ TEST_P(FptasAgreement, WithinGuarantee) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FptasAgreement, ::testing::Range(0, 8));
 
+TEST(Fptas, BracketsOptimumWhenShortestPathIsFarFromIt) {
+  // One direct edge 0 -> 1 plus five parallel two-hop paths, all capacity
+  // 10, and 60 units from 0 to 1: shortest-path routing puts everything
+  // on the direct edge (U_sp = 6) while the optimum splits six ways
+  // (U* = 1).  The pre-scaled problem's lambda* is 6, far above 1.
+  DiGraph g(7);
+  g.add_edge(0, 1, 10.0);
+  for (int mid = 2; mid < 7; ++mid) {
+    g.add_edge(0, mid, 10.0);
+    g.add_edge(mid, 1, 10.0);
+  }
+  DemandMatrix dm(7);
+  dm.set(0, 1, 60.0);
+  const OptimalResult lp = solve_optimal(g, dm);
+  ASSERT_TRUE(lp.feasible);
+  ASSERT_NEAR(lp.u_max, 1.0, 1e-7);
+  for (const double eps : {0.05, 0.1}) {
+    FptasOptions opt;
+    opt.epsilon = eps;
+    const double approx = approx_optimal_u_max(g, dm, opt);
+    EXPECT_GE(approx, lp.u_max * (1.0 - 1e-9)) << "eps " << eps;
+    EXPECT_LE(approx, lp.u_max / (1.0 - 3.0 * eps) * (1.0 + 1e-9))
+        << "eps " << eps;
+  }
+}
+
 TEST(Fptas, ZeroDemand) {
   const DiGraph g = two_parallel_paths();
   EXPECT_EQ(max_concurrent_flow(g, DemandMatrix(3)), 0.0);

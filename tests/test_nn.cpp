@@ -946,7 +946,7 @@ TEST(SerializeRobust, ParameterCountMismatchNamedInError) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeRobust, LegacyV1FormatStillLoads) {
+TEST(SerializeRobust, LegacyV1FormatIsRejected) {
   util::Rng rng(24);
   MlpConfig cfg;
   cfg.hidden = {8};
@@ -967,14 +967,16 @@ TEST(SerializeRobust, LegacyV1FormatStillLoads) {
 
   util::Rng rng_b(25);
   Mlp dst(4, 2, cfg, rng_b);
-  load_parameters(path, dst.parameters());
-  const auto dst_params = dst.parameters();
-  for (std::size_t i = 0; i < src_params.size(); ++i) {
-    const auto a = src_params[i]->value.data();
-    const auto b = dst_params[i]->value.data();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
+  const auto before = snapshot_values(dst.parameters());
+  try {
+    load_parameters(path, dst.parameters());
+    FAIL() << "expected util::IoError for a version-1 file";
+  } catch (const util::IoError& ex) {
+    EXPECT_NE(std::string(ex.what()).find("unsupported version 1"),
+              std::string::npos)
+        << ex.what();
   }
+  expect_values_unchanged(dst.parameters(), before);
   std::remove(path.c_str());
 }
 
@@ -1101,7 +1103,7 @@ TEST(ChecksumTrailer, BitFlipInParameterFileNeverHalfLoads) {
   std::remove(path.c_str());
 }
 
-TEST(ChecksumTrailer, LegacyV2WithoutTrailerStillLoads) {
+TEST(ChecksumTrailer, V2WithoutTrailerIsRejected) {
   util::Rng rng(43);
   MlpConfig cfg;
   cfg.hidden = {8};
@@ -1110,7 +1112,7 @@ TEST(ChecksumTrailer, LegacyV2WithoutTrailerStillLoads) {
   save_parameters(path, src.parameters());
 
   // Strip the trailer ("CRCS" + u32 count + one u32 per section), leaving
-  // a pre-trailer v2 file that ends exactly after its last section.
+  // a v2 file that ends exactly after its last section.
   const std::string bytes = slurp_file(path);
   const auto ranges = section_payload_ranges(bytes);
   const std::size_t trailer_bytes =
@@ -1118,15 +1120,16 @@ TEST(ChecksumTrailer, LegacyV2WithoutTrailerStillLoads) {
   dump_file(path, bytes.substr(0, bytes.size() - trailer_bytes));
 
   Mlp dst(4, 2, cfg, rng);
-  load_parameters(path, dst.parameters());
-  const auto a = src.parameters();
-  const auto b = dst.parameters();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto av = a[i]->value.data();
-    const auto bv = b[i]->value.data();
-    ASSERT_EQ(av.size(), bv.size());
-    for (std::size_t k = 0; k < av.size(); ++k) EXPECT_EQ(av[k], bv[k]);
+  const auto before = snapshot_values(dst.parameters());
+  try {
+    load_parameters(path, dst.parameters());
+    FAIL() << "expected util::IoError for a file without a checksum trailer";
+  } catch (const util::IoError& ex) {
+    EXPECT_NE(std::string(ex.what()).find("missing checksum trailer"),
+              std::string::npos)
+        << ex.what();
   }
+  expect_values_unchanged(dst.parameters(), before);
   std::remove(path.c_str());
 }
 

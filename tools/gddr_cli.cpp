@@ -66,7 +66,7 @@
 //                                         summary for CI smoke checks
 //
 // All commands accept --workers N (default: hardware concurrency) to size
-// the thread pool used by parallel evaluation, plus --metrics <path>
+// the thread pool used by parallel evaluation and training, plus --metrics <path>
 // [--metrics-every N] to stream per-iteration "gddr.metrics.v1" JSONL
 // telemetry and print an end-of-run summary table (DESIGN.md §7).  The
 // GDDR_METRICS environment variable does the same without flags.
@@ -302,7 +302,8 @@ struct TrainArgs {
   std::uint64_t seed = 1;
 };
 
-int cmd_train(const TrainArgs& args, const obs::MetricsOptions& metrics) {
+int cmd_train(const TrainArgs& args, const obs::MetricsOptions& metrics,
+              util::ThreadPool& pool) {
   using namespace gddr::core;
   util::Rng rng(args.seed);
   ScenarioParams params = experiment_scenario_params();
@@ -322,7 +323,7 @@ int cmd_train(const TrainArgs& args, const obs::MetricsOptions& metrics) {
   cfg.metrics_path = metrics.path;
   cfg.metrics_every_iterations = metrics.every;
 
-  Experiment experiment(std::move(cfg));
+  Experiment experiment(std::move(cfg), &pool);
   if (!args.resume.empty()) {
     experiment.resume_from(args.resume);
     std::printf("resumed from %s (iteration %ld, %ld env steps)\n",
@@ -897,7 +898,7 @@ int run(int argc, char** argv, util::ThreadPool& pool,
         return usage();
       }
     }
-    return cmd_train(args, metrics);
+    return cmd_train(args, metrics, pool);
   }
   if (command == "serve-sim" && argc >= 3) {
     ServeSimArgs args;
