@@ -1,4 +1,4 @@
-// Dense two-phase primal simplex linear-programming solver.
+// Dense primal simplex linear-programming solver.
 //
 // The paper computes the optimal max-link-utilisation with Google
 // OR-Tools' LP solver (§V-A); this module is the from-scratch replacement.
@@ -7,16 +7,21 @@
 //     minimise    c . x
 //     subject to  A x {<=, =, >=} b,    x >= 0
 //
-// via the textbook two-phase method on a dense tableau: phase 1 minimises
-// the sum of artificial variables to find a basic feasible solution, phase 2
-// optimises the real objective.  Dantzig pricing is used with an automatic
-// switch to Bland's rule when progress stalls, which guarantees
-// termination.  Problem sizes in this repository (destination-aggregated
-// multicommodity flow on Topology-Zoo-scale graphs) stay well inside what a
-// dense tableau handles comfortably.
+// on a dense tableau.  A caller that knows a feasible basis passes it to
+// solve(): its columns are pivoted in and only phase 2 optimises the real
+// objective.  Without one — or when the given basis is unusable — the
+// textbook two-phase method runs: phase 1 minimises the sum of artificial
+// variables to find a basic feasible solution, phase 2 optimises the
+// objective.  Dantzig pricing is used with an automatic switch to Bland's
+// rule when progress stalls, which guarantees termination.  A pivot
+// touches only the pivot row's non-zero columns.  Problem sizes in this
+// repository (destination-aggregated multicommodity flow on
+// Topology-Zoo-scale graphs) stay well inside what a dense tableau handles
+// comfortably.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +70,17 @@ class LinearProgram {
     std::size_t degenerate_pivot_limit = 64;
   };
 
-  Solution solve(const Options& options) const;
+  // `start`, when non-empty, is a starting basis with one entry per
+  // constraint: the structural variable to make basic in that row, or -1
+  // to keep the row's own slack (an equality or >= row has none, so it
+  // needs a variable).  The entries are pivoted in row order; when they
+  // form a feasible basis, phase 1 is skipped.  A start of the wrong size,
+  // one that meets a pivot element within pivot_tolerance, leaves an
+  // equality or >= row without a variable or gives a basic value below
+  // -feasibility_tolerance is dropped (counted in "lp/start_fallbacks")
+  // and the two-phase solve runs instead.  Its pivots count in
+  // "lp/pivots" either way.
+  Solution solve(const Options& options, std::span<const int> start = {}) const;
   Solution solve() const { return solve(Options{}); }
 
  private:

@@ -1,8 +1,11 @@
 #include "mcf/optimal.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
+#include "graph/algorithms.hpp"
 #include "lp/simplex.hpp"
 #include "mcf/fptas.hpp"
 #include "mcf/mcf_invariants.hpp"
@@ -27,6 +30,70 @@ const char* to_string(SolveProvenance provenance) {
   }
   return "unknown";
 }
+
+namespace {
+
+// A feasible starting basis for the destination-aggregated LP, one entry
+// per row in solve_optimal's row order (the conservation rows of each
+// destination, then one capacity row per edge).  All traffic to t follows
+// the hop-count in-tree of t: row (t, v) makes x_t(first edge of v's path)
+// basic, at the demand sum of v's subtree (>= 0).  U is basic in the
+// capacity row of the busiest tree edge e* (highest load/c, lowest id on
+// ties); every other capacity row keeps its slack, c_e U - load_e >= 0.
+// Each destination's block is triangular and U has -c_e* in row e*, so the
+// basis is nonsingular.  A node that cannot reach t leaves its row at -1,
+// which the solver rejects in favour of the two-phase solve.
+std::vector<int> shortest_path_tree_basis(
+    const DiGraph& g, const DemandMatrix& dm,
+    const std::vector<NodeId>& dests, const std::vector<int>& block_start,
+    int u_var) {
+  const int n = g.num_nodes();
+  const int ne = g.num_edges();
+  const std::vector<double> hops = graph::unit_weights(g);
+  std::vector<int> start;
+  start.reserve(dests.size() * static_cast<size_t>(n - 1) +
+                static_cast<size_t>(ne));
+  std::vector<double> load(static_cast<size_t>(ne), 0.0);
+  std::vector<NodeId> order(static_cast<size_t>(n));
+  std::vector<double> subtree(static_cast<size_t>(n));
+  for (NodeId t : dests) {
+    const graph::ShortestPaths sp = graph::dijkstra_to(g, t, hops);
+    // Leaves first: a node's subtree sum is final before it is passed on.
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return sp.dist[static_cast<size_t>(a)] > sp.dist[static_cast<size_t>(b)];
+    });
+    for (NodeId v = 0; v < n; ++v) {
+      subtree[static_cast<size_t>(v)] = dm.at(v, t);
+    }
+    for (NodeId v : order) {
+      const EdgeId e = sp.parent_edge[static_cast<size_t>(v)];
+      if (e == graph::kInvalidEdge) continue;  // t itself, or unreachable
+      const double flow = subtree[static_cast<size_t>(v)];
+      subtree[static_cast<size_t>(g.edge(e).dst)] += flow;
+      load[static_cast<size_t>(e)] += flow;
+    }
+    const int block = block_start[static_cast<size_t>(t)];
+    for (NodeId v = 0; v < n; ++v) {
+      if (v == t) continue;
+      const EdgeId e = sp.parent_edge[static_cast<size_t>(v)];
+      start.push_back(e == graph::kInvalidEdge ? -1 : block + e);
+    }
+  }
+  EdgeId busiest = graph::kInvalidEdge;
+  double busiest_util = -1.0;
+  for (EdgeId e = 0; e < ne; ++e) {
+    const double util = load[static_cast<size_t>(e)] / g.edge(e).capacity;
+    if (util > busiest_util) {
+      busiest_util = util;
+      busiest = e;
+    }
+  }
+  for (EdgeId e = 0; e < ne; ++e) start.push_back(e == busiest ? u_var : -1);
+  return start;
+}
+
+}  // namespace
 
 OptimalResult solve_optimal(const DiGraph& g, const DemandMatrix& dm,
                             const SolveOptions& options) {
@@ -89,7 +156,8 @@ OptimalResult solve_optimal(const DiGraph& g, const DemandMatrix& dm,
   } else {
     lp::LinearProgram::Options lp_options;
     lp_options.max_iterations = options.max_simplex_iterations;
-    sol = prog.solve(lp_options);
+    sol = prog.solve(lp_options, shortest_path_tree_basis(
+                                     g, dm, dests, block_start, u_var));
   }
 
   if (sol.status == lp::SolveStatus::kInfeasible) {

@@ -13,7 +13,11 @@
 //    splittable min-max-utilisation MCF (commodities to the same sink can
 //    be merged without changing link totals, and any merged flow can be
 //    decomposed back per-source) and has |V||E| variables instead of
-//    |V|^2|E|.
+//    |V|^2|E|.  The simplex starts from a feasible basis written down
+//    directly — every destination's traffic on its hop-count shortest-path
+//    in-tree, U at the busiest tree edge's utilisation — so it runs phase 2
+//    only; when that basis does not exist (a node cannot reach a
+//    destination) the generic two-phase solve runs instead.
 //
 //  * solve_optimal_per_commodity: the textbook per-(s,t) formulation from
 //    the paper's §II-A, exponentially larger; used in tests to validate the

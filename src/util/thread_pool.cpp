@@ -24,6 +24,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
+  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
   if (workers_.empty()) {

@@ -18,7 +18,9 @@
 //    rethrown from the waiting parallel_for / parallel_map call.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -45,6 +47,13 @@ class ThreadPool {
   // carries its exception).  Inline pools run the task immediately.
   std::future<void> submit(std::function<void()> task);
 
+  // Tasks submitted over the pool's life; lets a caller check that work
+  // actually reached the pool (parallel_for runs a pool of size <= 1
+  // serially without submitting).
+  std::uint64_t tasks_submitted() const {
+    return tasks_submitted_.load(std::memory_order_relaxed);
+  }
+
  private:
   void worker_loop();
 
@@ -60,6 +69,7 @@ class ThreadPool {
   CondVar cv_;
   std::deque<std::packaged_task<void()>> queue_ GDDR_GUARDED_BY(mutex_);
   bool stopping_ GDDR_GUARDED_BY(mutex_) = false;
+  std::atomic<std::uint64_t> tasks_submitted_{0};
 };
 
 // Number of workers to use by default: the GDDR_WORKERS environment

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "mcf/cache.hpp"
 #include "mcf/fptas.hpp"
 #include "mcf/optimal.hpp"
+#include "obs/metrics.hpp"
 #include "topo/generators.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/generators.hpp"
+#include "util/fault.hpp"
 
 namespace gddr::mcf {
 namespace {
@@ -170,6 +175,105 @@ TEST(Fptas, BracketsOptimumWhenShortestPathIsFarFromIt) {
     EXPECT_LE(approx, lp.u_max / (1.0 - 3.0 * eps) * (1.0 + 1e-9))
         << "eps " << eps;
   }
+}
+
+// ---- shortest-path-tree start basis ----
+
+// Counts the solver's start fallbacks; the registry is process-global, so
+// each test starts and ends with it reset and disabled.
+class TreeStart : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::Registry::instance().reset();
+    obs::Registry::instance().enable();
+  }
+  void TearDown() override {
+    util::FaultInjector::instance().disarm();
+    obs::Registry::instance().disable();
+    obs::Registry::instance().reset();
+  }
+  static std::uint64_t fallbacks() {
+    return obs::Registry::instance().counter("lp/start_fallbacks");
+  }
+};
+
+// The tree-started aggregated LP against the two-phase per-commodity LP
+// on every catalogue topology, under the experiments' traffic model; the
+// FPTAS value brackets both.
+TEST_F(TreeStart, MatchesPerCommodityOnCatalogue) {
+  const traffic::BimodalParams params =
+      core::experiment_scenario_params().demand;
+  FptasOptions fptas;
+  fptas.epsilon = 0.05;
+  for (const std::string& name : topo::catalogue_names()) {
+    const DiGraph g = topo::by_name(name);
+    for (const std::uint64_t seed : {11U, 12U}) {
+      util::Rng rng(seed);
+      const DemandMatrix dm =
+          traffic::bimodal_matrix(g.num_nodes(), params, rng);
+      const OptimalResult tree = solve_optimal(g, dm);
+      ASSERT_EQ(tree.provenance, SolveProvenance::kExact) << name;
+      const double per_commodity = solve_optimal_per_commodity(g, dm);
+      EXPECT_NEAR(tree.u_max, per_commodity, 1e-9 * per_commodity)
+          << name << " seed " << seed;
+      const double approx = approx_optimal_u_max(g, dm, fptas);
+      EXPECT_GE(approx, std::max(tree.u_max, per_commodity) * (1.0 - 1e-9))
+          << name << " seed " << seed;
+      EXPECT_LE(approx, std::min(tree.u_max, per_commodity) /
+                            (1.0 - 3.0 * fptas.epsilon) * (1.0 + 1e-9))
+          << name << " seed " << seed;
+    }
+  }
+  // Every aggregated solve above ran from its tree start.
+  EXPECT_EQ(fallbacks(), 0U);
+}
+
+TEST_F(TreeStart, UnreachableNodeFallsBackToTwoPhase) {
+  // Node 2 has no out-edges, so it cannot reach destination 1 and row
+  // (1, 2) has no tree edge.
+  DiGraph g(3);
+  g.add_edge(0, 1, 10.0);
+  g.add_edge(1, 0, 10.0);
+  g.add_edge(0, 2, 10.0);
+  DemandMatrix dm(3);
+  dm.set(0, 1, 5.0);
+  const OptimalResult routable = solve_optimal(g, dm);
+  EXPECT_EQ(fallbacks(), 1U);
+  ASSERT_EQ(routable.provenance, SolveProvenance::kExact);
+  EXPECT_NEAR(routable.u_max, 0.5, 1e-12);
+
+  // Demand from node 2 cannot be routed at all: still a failure, not an
+  // approximation.
+  dm.set(2, 1, 3.0);
+  const OptimalResult unroutable = solve_optimal(g, dm);
+  EXPECT_EQ(fallbacks(), 2U);
+  EXPECT_EQ(unroutable.provenance, SolveProvenance::kFailed);
+  EXPECT_FALSE(unroutable.feasible);
+}
+
+// A simplex breakdown — the injected kLpSolve fault, or phase 2 running
+// out of its iteration budget from the tree start — still degrades to the
+// FPTAS.
+TEST_F(TreeStart, SimplexFailureStillReachesFptas) {
+  const DiGraph g = topo::by_name("GeantLike");
+  util::Rng rng(5);
+  const DemandMatrix dm = traffic::bimodal_matrix(
+      g.num_nodes(), core::experiment_scenario_params().demand, rng);
+  const OptimalResult exact = solve_optimal(g, dm);
+  ASSERT_EQ(exact.provenance, SolveProvenance::kExact);
+
+  SolveOptions budget;
+  budget.max_simplex_iterations = 1;
+  util::FaultInjector::instance().arm("lp_solve@1");
+  for (const SolveOptions& options : {SolveOptions{}, budget}) {
+    const OptimalResult approx = solve_optimal(g, dm, options);
+    EXPECT_EQ(approx.provenance, SolveProvenance::kApproximate);
+    EXPECT_GE(approx.u_max, exact.u_max * (1.0 - 1e-9));
+    EXPECT_LE(approx.u_max, exact.u_max /
+                                (1.0 - 3.0 * options.fptas_epsilon) *
+                                (1.0 + 1e-9));
+  }
+  EXPECT_EQ(fallbacks(), 0U);
 }
 
 TEST(Fptas, ZeroDemand) {

@@ -35,6 +35,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   util::parallel_for(&pool, hits.size(),
                      [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.tasks_submitted(), hits.size());
 }
 
 TEST(ThreadPool, SizeOneIsInlineOnCallingThread) {
@@ -47,6 +48,7 @@ TEST(ThreadPool, SizeOneIsInlineOnCallingThread) {
                        same_thread = std::this_thread::get_id() == caller;
                      });
   EXPECT_TRUE(same_thread);
+  EXPECT_EQ(pool.tasks_submitted(), 0U);  // served serially, never queued
 }
 
 TEST(ThreadPool, NullPoolRunsSerially) {
