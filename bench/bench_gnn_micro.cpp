@@ -27,6 +27,7 @@
 #include <cstring>
 #include <exception>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/policies.hpp"
@@ -242,12 +243,15 @@ int run_json_smoke() {
       "  \"topology\": \"GeantLike\",\n"
       "  \"build_type\": \"%s\",\n"
       "  \"sanitizer\": \"%s\",\n"
+      "  \"hardware_threads\": %u,\n"
+      "  \"compiler\": \"%s\",\n"
       "  \"arena_steady_state_misses\": %llu,\n"
       "  \"arena_reuse_per_100_iters\": %llu,\n"
       "  \"arena_bytes\": %llu\n"
       "}\n",
       kernels_ok ? "true" : "false", us_per_iter, kIters, GDDR_BUILD_TYPE,
       GDDR_SANITIZE_LIST[0] != '\0' ? GDDR_SANITIZE_LIST : "none",
+      std::thread::hardware_concurrency(), GDDR_COMPILER,
       static_cast<unsigned long long>(misses_delta),
       static_cast<unsigned long long>(reuse_delta),
       static_cast<unsigned long long>(tape.arena_bytes()));

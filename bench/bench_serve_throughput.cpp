@@ -255,14 +255,15 @@ int main(int argc, char** argv) {
         buffer, sizeof(buffer),
         "{\"schema\": \"gddr.bench_serve_throughput.v1\", "
         "\"requests\": %d, \"hardware_threads\": %u, "
+        "\"compiler\": \"%s\", "
         "\"bit_identical\": %s, \"shed\": %ld, "
         "\"workers_1_rps\": %.1f, \"workers_4_rps\": %.1f, "
         "\"speedup\": %.2f, \"speedup_asserted\": %s, "
         "\"p50_latency_us\": %.1f, \"p99_latency_us\": %.1f, "
         "\"ok\": %s}\n",
-        kRequests, cores, bit_identical ? "true" : "false", total_shed,
-        best_1w, best_4w, speedup, multi_core ? "true" : "false", p50, p99,
-        ok ? "true" : "false");
+        kRequests, cores, GDDR_COMPILER, bit_identical ? "true" : "false",
+        total_shed, best_1w, best_4w, speedup, multi_core ? "true" : "false",
+        p50, p99, ok ? "true" : "false");
     try {
       util::write_file_atomic("BENCH_serve_throughput.json", buffer);
       std::printf("wrote BENCH_serve_throughput.json\n");

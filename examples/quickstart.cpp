@@ -63,8 +63,8 @@ int main() {
   std::printf("shortest-path routing:           U = %.4f  (%.2fx optimal)\n",
               sp_result.u_max, sp_result.u_max / optimal.u_max);
 
-  std::printf("\nnext steps: examples/train_gddr.cpp trains a GNN agent to "
-              "pick the weights; examples/generalise.cpp transfers one "
-              "agent across topologies.\n");
+  std::printf("\nnext steps: bench/bench_fig6_fixed_graph trains a GNN agent "
+              "to pick the weights; bench/bench_fig8_generalisation "
+              "transfers one agent across topologies.\n");
   return 0;
 }

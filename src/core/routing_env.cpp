@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
-#include "routing/baselines.hpp"
 #include "routing/routing.hpp"
 #include "util/error.hpp"
 
@@ -134,8 +133,7 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
     strategy = routing::softmin_routing_per_destination(g, weights_by_dest,
                                                         config_.softmin);
   }
-  last_ratio_ = utilisation_ratio(g, strategy, dm, cursor_.cache(),
-                                  config_.objective);
+  last_ratio_ = utilisation_ratio(g, strategy, dm, cursor_.cache());
   StepResult result;
   result.reward = -last_ratio_;  // paper Eq. 2
   ++t_;
@@ -197,17 +195,9 @@ void RoutingEnv::restore_state(std::span<const std::uint8_t> blob) {
 double utilisation_ratio(const graph::DiGraph& g,
                          const routing::Routing& strategy,
                          const traffic::DemandMatrix& dm,
-                         mcf::OptimalCache& cache, Objective objective) {
-  const auto sim = routing::simulate(g, strategy, dm);
-  double achieved = 0.0;
-  double optimal = 0.0;
-  if (objective == Objective::kMaxUtilisation) {
-    achieved = sim.u_max;
-    optimal = cache.u_max(g, dm);
-  } else {
-    achieved = routing::mean_utilisation(g, sim);
-    optimal = cache.mean_util(g, dm);
-  }
+                         mcf::OptimalCache& cache) {
+  const double achieved = routing::simulate(g, strategy, dm).u_max;
+  const double optimal = cache.u_max(g, dm);
   return optimal > 0.0 ? achieved / optimal : 1.0;
 }
 

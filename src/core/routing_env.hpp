@@ -27,12 +27,6 @@
 
 namespace gddr::core {
 
-// Which utility function the agent optimises (paper §IX lists exploring
-// different utility functions as further work).  Each objective is scored
-// against its own exact oracle: the MCF LP for max-utilisation, the
-// inverse-capacity shortest-path decomposition for mean-utilisation.
-enum class Objective { kMaxUtilisation, kMeanUtilisation };
-
 // GNN node-feature encoding (paper §V-B).  kInOutSums is the paper's
 // choice: per history step, each vertex carries (sum of outgoing demand,
 // sum of incoming demand) — O(1) per vertex, which is what lets one GNN
@@ -52,7 +46,6 @@ enum class ActionSpace { kEdgeWeights, kPerDestinationWeights };
 
 struct EnvConfig {
   int memory = 5;  // demand-history length (paper: 5)
-  Objective objective = Objective::kMaxUtilisation;
   NodeFeatureMode node_features = NodeFeatureMode::kInOutSums;
   ActionSpace action_space = ActionSpace::kEdgeWeights;
   routing::SoftminOptions softmin;
@@ -140,14 +133,13 @@ class RoutingEnv final : public rl::Env {
   double last_ratio_ = 0.0;
 };
 
-// U_agent / U_opt of `strategy` on `dm` under `objective` (optimum
-// memoised in `cache`), or 1.0 when the optimum is 0: the paper's Eq.-2
-// reward negated, and the score of fixed schemes in evaluation.
+// U_max_agent / U_max_opt of `strategy` on `dm` (optimum memoised in
+// `cache`), or 1.0 when the optimum is 0: the paper's Eq.-2 reward
+// negated, and the score of fixed schemes in evaluation.
 double utilisation_ratio(const graph::DiGraph& g,
                          const routing::Routing& strategy,
                          const traffic::DemandMatrix& dm,
-                         mcf::OptimalCache& cache,
-                         Objective objective = Objective::kMaxUtilisation);
+                         mcf::OptimalCache& cache);
 
 // Builds `n` independent RoutingEnv instances over the same scenarios for
 // vectorised collection: env i is seeded `seed + i` (its own scenario /

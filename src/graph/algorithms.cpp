@@ -155,16 +155,6 @@ bool is_strongly_connected(const DiGraph& g) {
   return true;
 }
 
-std::vector<std::vector<double>> all_pairs_distances(
-    const DiGraph& g, const std::vector<double>& weights) {
-  std::vector<std::vector<double>> dist;
-  dist.reserve(static_cast<size_t>(g.num_nodes()));
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    dist.push_back(dijkstra(g, s, weights).dist);
-  }
-  return dist;
-}
-
 std::vector<std::vector<EdgeId>> shortest_path_dag_to(
     const DiGraph& g, NodeId dst, const std::vector<double>& weights) {
   const ShortestPaths sp = dijkstra_to(g, dst, weights);

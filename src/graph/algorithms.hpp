@@ -53,11 +53,6 @@ bool has_cycle(const DiGraph& g, const std::vector<bool>& edge_mask);
 // True if every node can reach every other node.
 bool is_strongly_connected(const DiGraph& g);
 
-// All-pairs shortest-path distances by repeated Dijkstra.
-// result[s][t] = distance s -> t.
-std::vector<std::vector<double>> all_pairs_distances(
-    const DiGraph& g, const std::vector<double>& weights);
-
 // For each node v, the outgoing edges of v that lie on *some* shortest
 // path from v to `dst` (the ECMP DAG toward dst).  Empty set at `dst` and
 // at nodes that cannot reach `dst`.

@@ -110,6 +110,14 @@ void ModelRegistry::scan() {
         throw util::IoError("ModelRegistry: malformed manifest line '" +
                             line + "' in '" + manifest_path + "'");
       }
+      // The filename is later opened and, past retention, deleted: any
+      // name but the version's own (say "../x") would reach outside dir_.
+      if (entry.filename != version_filename(entry.version)) {
+        throw util::IoError("ModelRegistry: manifest filename '" +
+                            entry.filename + "' is not '" +
+                            version_filename(entry.version) + "' in '" +
+                            manifest_path + "'");
+      }
       entries_.push_back(std::move(entry));
     }
   }

@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "mcf/mean_util.hpp"
 #include "mcf/optimal.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -51,7 +50,6 @@ OptimalCache::OptimalCache(const OptimalCache& other) {
   const util::MutexLock lock(other.mutex_);
   capacity_ = other.capacity_;
   cache_ = other.cache_;
-  mean_cache_ = other.mean_cache_;
   hits_ = other.hits_;
   misses_ = other.misses_;
   evictions_ = other.evictions_;
@@ -59,10 +57,8 @@ OptimalCache::OptimalCache(const OptimalCache& other) {
   approx_solves_ = other.approx_solves_;
   // The copied Entry::recency iterators point into the copied lists'
   // nodes only by accident of std::list copying order — rebuild them.
-  for (LruMap* lru : {&cache_, &mean_cache_}) {
-    for (auto it = lru->order.begin(); it != lru->order.end(); ++it) {
-      lru->map[*it].recency = it;
-    }
+  for (auto it = cache_.order.begin(); it != cache_.order.end(); ++it) {
+    cache_.map[*it].recency = it;
   }
 }
 
@@ -72,7 +68,6 @@ OptimalCache& OptimalCache::operator=(const OptimalCache& other) {
   const util::MutexLock lock(mutex_);
   capacity_ = copy.capacity_;
   cache_ = std::move(copy.cache_);
-  mean_cache_ = std::move(copy.mean_cache_);
   hits_ = copy.hits_;
   misses_ = copy.misses_;
   evictions_ = copy.evictions_;
@@ -90,81 +85,65 @@ std::uint64_t OptimalCache::key_for(const graph::DiGraph& g,
   return key;
 }
 
-bool OptimalCache::lookup(Which which, std::uint64_t key, double& value) {
+bool OptimalCache::lookup(std::uint64_t key, double& value) {
   const util::MutexLock lock(mutex_);
-  LruMap& lru = lru_locked(which);
-  const auto it = lru.map.find(key);
-  if (it == lru.map.end()) {
+  const auto it = cache_.map.find(key);
+  if (it == cache_.map.end()) {
     ++misses_;
     obs::count("mcf/cache/miss");
     return false;
   }
   ++hits_;
   obs::count("mcf/cache/hit");
-  lru.order.splice(lru.order.begin(), lru.order, it->second.recency);
+  cache_.order.splice(cache_.order.begin(), cache_.order,
+                      it->second.recency);
   value = it->second.value;
   return true;
 }
 
-void OptimalCache::insert(Which which, std::uint64_t key, double value) {
+void OptimalCache::insert(std::uint64_t key, double value) {
   const util::MutexLock lock(mutex_);
-  LruMap& lru = lru_locked(which);
-  if (lru.map.find(key) != lru.map.end()) return;  // lost a benign race
-  while (lru.map.size() >= capacity_) {
-    lru.map.erase(lru.order.back());
-    lru.order.pop_back();
+  if (cache_.map.find(key) != cache_.map.end()) return;  // lost a benign race
+  while (cache_.map.size() >= capacity_) {
+    cache_.map.erase(cache_.order.back());
+    cache_.order.pop_back();
     ++evictions_;
     obs::count("mcf/cache/evict");
   }
-  lru.order.push_front(key);
-  lru.map.emplace(key, LruMap::Entry{value, lru.order.begin()});
-}
-
-template <typename Solver>
-double OptimalCache::lookup_or_solve(Which which, const graph::DiGraph& g,
-                                     const traffic::DemandMatrix& dm,
-                                     const Solver& solver) {
-  const std::uint64_t key = key_for(g, dm);
-  double value = 0.0;
-  if (lookup(which, key, value)) return value;
-  {
-    obs::ScopedTimer solve_timer("mcf/solve");
-    value = solver();  // LP runs outside the lock
-  }
-  insert(which, key, value);
-  return value;
-}
-
-double OptimalCache::mean_util(const graph::DiGraph& g,
-                               const traffic::DemandMatrix& dm) {
-  return lookup_or_solve(Which::kMeanUtil, g, dm,
-                         [&] { return min_mean_utilisation(g, dm); });
+  cache_.order.push_front(key);
+  cache_.map.emplace(key, LruMap::Entry{value, cache_.order.begin()});
 }
 
 double OptimalCache::u_max(const graph::DiGraph& g,
                            const traffic::DemandMatrix& dm) {
-  return lookup_or_solve(Which::kUmax, g, dm, [&] {
-    const OptimalResult result = solve_optimal(g, dm);
-    if (result.provenance == SolveProvenance::kFailed) {
-      throw util::SolverError("OptimalCache: LP infeasible/unsolved");
+  const std::uint64_t key = key_for(g, dm);
+  double value = 0.0;
+  if (lookup(key, value)) return value;
+  OptimalResult result;
+  {
+    obs::ScopedTimer solve_timer("mcf/solve");
+    result = solve_optimal(g, dm);  // LP runs outside the lock
+  }
+  if (result.provenance == SolveProvenance::kFailed) {
+    throw util::SolverError("OptimalCache: LP infeasible/unsolved");
+  }
+  {
+    const util::MutexLock lock(mutex_);
+    if (result.provenance == SolveProvenance::kExact) {
+      ++exact_solves_;
+      obs::count("mcf/solve/exact");
+    } else {
+      ++approx_solves_;
+      obs::count("mcf/solve/approx");
     }
-    {
-      const util::MutexLock lock(mutex_);
-      if (result.provenance == SolveProvenance::kExact) {
-        ++exact_solves_;
-        obs::count("mcf/solve/exact");
-      } else {
-        ++approx_solves_;
-        obs::count("mcf/solve/approx");
-      }
-    }
-    return result.u_max;
-  });
+  }
+  insert(key, result.u_max);
+  return result.u_max;
 }
 
 std::size_t OptimalCache::size() const {
   const util::MutexLock lock(mutex_);
-  return cache_.map.size() + mean_cache_.map.size();
+  return cache_.map.size();
 }
 
 std::size_t OptimalCache::hits() const {
@@ -196,8 +175,6 @@ void OptimalCache::clear() {
   const util::MutexLock lock(mutex_);
   cache_.map.clear();
   cache_.order.clear();
-  mean_cache_.map.clear();
-  mean_cache_.order.clear();
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;

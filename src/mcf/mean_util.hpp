@@ -1,6 +1,6 @@
 // Exact oracle for the *mean*-utilisation objective (paper §IX lists
-// "different utility functions" as further work; this implements the most
-// natural alternative to min-max).
+// "different utility functions" as further work; this is the most natural
+// alternative to min-max).  `gddr_cli optimal` reports it next to U*.
 //
 // Minimising sum_e load(e)/c(e) decomposes per unit of traffic: each unit
 // travelling edge e contributes 1/c(e) regardless of everything else, so

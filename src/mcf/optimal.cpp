@@ -172,9 +172,7 @@ OptimalResult solve_optimal(const DiGraph& g, const DemandMatrix& dm,
     // degrade to the Fleischer FPTAS.  It yields only U_max (no flow
     // decomposition), within a 1/(1 - 3*eps) factor of optimal.
     if (options.allow_fptas_fallback) {
-      FptasOptions fptas;
-      fptas.epsilon = options.fptas_epsilon;
-      const double u_approx = approx_optimal_u_max(g, dm, fptas);
+      const double u_approx = approx_optimal_u_max(g, dm);
       if (std::isfinite(u_approx) && u_approx > 0.0) {
         result.feasible = true;
         result.provenance = SolveProvenance::kApproximate;
@@ -204,65 +202,6 @@ OptimalResult solve_optimal(const DiGraph& g, const DemandMatrix& dm,
   GDDR_VALIDATE(check_umax_consistency(g, result, 1e-6,
                                        "mcf/optimal/umax"));
   return result;
-}
-
-double solve_optimal_per_commodity(const DiGraph& g, const DemandMatrix& dm) {
-  if (dm.num_nodes() != g.num_nodes()) {
-    throw std::invalid_argument("per-commodity: demand/graph size mismatch");
-  }
-  const int n = g.num_nodes();
-  const int ne = g.num_edges();
-
-  struct Commodity {
-    NodeId s;
-    NodeId t;
-    double d;
-  };
-  std::vector<Commodity> commodities;
-  for (NodeId s = 0; s < n; ++s) {
-    for (NodeId t = 0; t < n; ++t) {
-      if (s != t && dm.at(s, t) > 0.0) {
-        commodities.push_back({s, t, dm.at(s, t)});
-      }
-    }
-  }
-  if (commodities.empty()) return 0.0;
-
-  lp::LinearProgram prog;
-  const int u_var = prog.add_variable(1.0);
-  std::vector<int> block(commodities.size());
-  for (size_t i = 0; i < commodities.size(); ++i) {
-    block[i] = prog.num_variables();
-    for (EdgeId e = 0; e < ne; ++e) prog.add_variable(0.0);
-  }
-  auto fvar = [&](size_t i, EdgeId e) { return block[i] + e; };
-
-  for (size_t i = 0; i < commodities.size(); ++i) {
-    const auto& c = commodities[i];
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == c.t) continue;  // sink absorption implied
-      std::vector<std::pair<int, double>> terms;
-      for (EdgeId e : g.out_edges(v)) terms.emplace_back(fvar(i, e), 1.0);
-      for (EdgeId e : g.in_edges(v)) terms.emplace_back(fvar(i, e), -1.0);
-      const double rhs = (v == c.s) ? c.d : 0.0;
-      prog.add_constraint(terms, lp::Relation::kEq, rhs);
-    }
-  }
-  for (EdgeId e = 0; e < ne; ++e) {
-    std::vector<std::pair<int, double>> terms;
-    terms.emplace_back(u_var, -g.edge(e).capacity);
-    for (size_t i = 0; i < commodities.size(); ++i) {
-      terms.emplace_back(fvar(i, e), 1.0);
-    }
-    prog.add_constraint(terms, lp::Relation::kLe, 0.0);
-  }
-
-  const lp::Solution sol = prog.solve();
-  if (sol.status != lp::SolveStatus::kOptimal) {
-    throw std::runtime_error("per-commodity LP not optimal: " +
-                             lp::to_string(sol.status));
-  }
-  return sol.x[static_cast<size_t>(u_var)];
 }
 
 std::vector<double> edge_utilisation(const DiGraph& g,

@@ -5,23 +5,18 @@
 // routing of the demand matrix.  The paper computes U*_max with an LP on
 // top of Google OR-Tools; here the LP is built on src/lp's simplex.
 //
-// Two formulations are provided:
-//
-//  * solve_optimal: destination-aggregated.  For each destination t a flow
-//    variable x_t(e) carries *all* traffic destined to t on edge e; per-node
-//    conservation injects D[v][t] at every v != t.  This is exact for
-//    splittable min-max-utilisation MCF (commodities to the same sink can
-//    be merged without changing link totals, and any merged flow can be
-//    decomposed back per-source) and has |V||E| variables instead of
-//    |V|^2|E|.  The simplex starts from a feasible basis written down
-//    directly — every destination's traffic on its hop-count shortest-path
-//    in-tree, U at the busiest tree edge's utilisation — so it runs phase 2
-//    only; when that basis does not exist (a node cannot reach a
-//    destination) the generic two-phase solve runs instead.
-//
-//  * solve_optimal_per_commodity: the textbook per-(s,t) formulation from
-//    the paper's §II-A, exponentially larger; used in tests to validate the
-//    aggregated formulation.
+// solve_optimal is destination-aggregated.  For each destination t a flow
+// variable x_t(e) carries *all* traffic destined to t on edge e; per-node
+// conservation injects D[v][t] at every v != t.  This is exact for
+// splittable min-max-utilisation MCF (commodities to the same sink can
+// be merged without changing link totals, and any merged flow can be
+// decomposed back per-source) and has |V||E| variables instead of
+// |V|^2|E|.  The simplex starts from a feasible basis written down
+// directly — every destination's traffic on its hop-count shortest-path
+// in-tree, U at the busiest tree edge's utilisation — so it runs phase 2
+// only; when that basis does not exist (a node cannot reach a
+// destination) the generic two-phase solve runs instead.  The tests
+// validate it against the textbook per-(s,t) formulation of §II-A.
 #pragma once
 
 #include <vector>
@@ -49,10 +44,9 @@ struct SolveOptions {
   // budget is exhausted the fallback chain engages.
   std::size_t max_simplex_iterations = 0;
   // Disable to make solve_optimal exact-only (callers that need
-  // flow_by_dest, which the FPTAS cannot provide).
+  // flow_by_dest, which the FPTAS cannot provide).  The fallback runs at
+  // the default FptasOptions::epsilon.
   bool allow_fptas_fallback = true;
-  // Approximation parameter of the fallback (see mcf/fptas.hpp).
-  double fptas_epsilon = 0.05;
 };
 
 struct OptimalResult {
@@ -60,7 +54,7 @@ struct OptimalResult {
   SolveProvenance provenance = SolveProvenance::kFailed;
   // Optimal max link utilisation; may exceed 1 when demand exceeds what
   // the network can carry without over-subscription.  Under kApproximate
-  // provenance it lies in [U*, U* / (1 - 3*fptas_epsilon)].
+  // provenance it lies in [U*, U* / (1 - 3*FptasOptions{}.epsilon)].
   double u_max = 0.0;
   // flow_by_dest[t][e]: traffic destined to node t crossing edge e in the
   // optimal solution.  Destinations with zero demand have empty rows.
@@ -74,11 +68,6 @@ struct OptimalResult {
 OptimalResult solve_optimal(const graph::DiGraph& g,
                             const traffic::DemandMatrix& dm,
                             const SolveOptions& options = {});
-
-// Per-commodity formulation (paper §II-A); test/cross-check use only.
-// Returns the optimal U_max.
-double solve_optimal_per_commodity(const graph::DiGraph& g,
-                                   const traffic::DemandMatrix& dm);
 
 // Per-edge utilisation of the optimal solution (|E| entries).
 std::vector<double> edge_utilisation(const graph::DiGraph& g,

@@ -374,28 +374,6 @@ Tape::Var Tape::concat_cols(Var a, Var b) {
   });
 }
 
-Tape::Var Tape::slice_cols(Var m, int start, int len) {
-  check_var(m, "slice_cols");
-  const Tensor& mv = node(m).value;
-  if (start < 0 || len <= 0 || start + len > mv.cols()) {
-    throw std::invalid_argument("slice_cols: range [" + std::to_string(start) +
-                                ", +" + std::to_string(len) + ") of " +
-                                mv.shape_str());
-  }
-  Tensor out = alloc(mv.rows(), len);
-  for (int i = 0; i < mv.rows(); ++i) {
-    for (int j = 0; j < len; ++j) out.at(i, j) = mv.at(i, start + j);
-  }
-  const int im = m.id;
-  return push(std::move(out), [im, start, len](Tape& t, int self) {
-    const Tensor& g = t.grad_of(self);
-    Tensor& gm = t.grad_of(im);
-    for (int i = 0; i < g.rows(); ++i) {
-      for (int j = 0; j < len; ++j) gm.at(i, start + j) += g.at(i, j);
-    }
-  });
-}
-
 Tape::Var Tape::gather_rows(Var m,
                             std::shared_ptr<const std::vector<int>> indices) {
   check_var(m, "gather_rows");
@@ -488,22 +466,6 @@ Tape::Var Tape::tanh(Var x) {
   });
 }
 
-Tape::Var Tape::sigmoid(Var x) {
-  check_var(x, "sigmoid");
-  Tensor out = apply_unary(alloc_copy(node(x).value), [](float v) {
-    return 1.0F / (1.0F + std::exp(-v));
-  });
-  const int ix = x.id;
-  return push(std::move(out), [ix](Tape& t, int self) {
-    const auto g = t.grad_of(self).data();
-    const auto y = t.value_of(self).data();
-    auto gx = t.grad_of(ix).data();
-    for (size_t i = 0; i < g.size(); ++i) {
-      gx[i] += g[i] * y[i] * (1.0F - y[i]);
-    }
-  });
-}
-
 Tape::Var Tape::exp(Var x) {
   check_var(x, "exp");
   Tensor out = apply_unary(alloc_copy(node(x).value),
@@ -514,19 +476,6 @@ Tape::Var Tape::exp(Var x) {
     const auto y = t.value_of(self).data();
     auto gx = t.grad_of(ix).data();
     for (size_t i = 0; i < g.size(); ++i) gx[i] += g[i] * y[i];
-  });
-}
-
-Tape::Var Tape::log(Var x) {
-  check_var(x, "log");
-  Tensor out = apply_unary(alloc_copy(node(x).value),
-                           [](float v) { return std::log(v); });
-  const int ix = x.id;
-  return push(std::move(out), [ix](Tape& t, int self) {
-    const auto g = t.grad_of(self).data();
-    const auto xv = t.value_of(ix).data();
-    auto gx = t.grad_of(ix).data();
-    for (size_t i = 0; i < g.size(); ++i) gx[i] += g[i] / xv[i];
   });
 }
 

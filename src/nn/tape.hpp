@@ -91,7 +91,6 @@ class Tape {
   // Same element count, new shape; data order preserved (row-major).
   Var reshape(Var x, int rows, int cols);
   Var concat_cols(Var a, Var b);
-  Var slice_cols(Var m, int start, int len);
   // out[i] = m[indices[i]] (rows); backward scatter-adds.  The index
   // vector is retained by pointer, so repeated forward passes on one
   // topology copy nothing and the closure stays within std::function's
@@ -106,9 +105,7 @@ class Tape {
   // --- unary ---
   Var relu(Var x);
   Var tanh(Var x);
-  Var sigmoid(Var x);
   Var exp(Var x);
-  Var log(Var x);
   Var square(Var x);
   Var neg(Var x);
   Var scale(Var x, float k);

@@ -32,14 +32,16 @@ void Routing::set_ratio(int s, int t, EdgeId e, double value) {
 
 namespace {
 
+// Relative tolerance of simulate()'s delivered-traffic conservation check.
+constexpr double kConservationTolerance = 1e-6;
+
 // Propagates `amount` units of flow (s,t) through the routing's positive
 // edges, adding to `load`.  The flow's edge subgraph must be acyclic; a
 // topological sweep in distance order is not available (ratios are
 // arbitrary), so Kahn's algorithm runs on the positive-ratio subgraph.
-// Returns the amount absorbed at t.
+// Returns the amount absorbed at t; a loop throws std::runtime_error.
 double propagate_flow(const DiGraph& g, const Routing& routing, NodeId s,
-                      NodeId t, double amount, std::vector<double>& load,
-                      bool strict) {
+                      NodeId t, double amount, std::vector<double>& load) {
   const auto& ratios = routing.flow_ratios(s, t);
   std::vector<bool> mask(static_cast<size_t>(g.num_edges()), false);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -49,12 +51,8 @@ double propagate_flow(const DiGraph& g, const Routing& routing, NodeId s,
   }
   const auto order = graph::topological_order(g, mask);
   if (!order.has_value()) {
-    if (strict) {
-      throw std::runtime_error("simulate: flow (" + std::to_string(s) + "," +
-                               std::to_string(t) +
-                               ") has a routing loop");
-    }
-    return 0.0;
+    throw std::runtime_error("simulate: flow (" + std::to_string(s) + "," +
+                             std::to_string(t) + ") has a routing loop");
   }
   // Kahn's output must be a valid topological order of the positive-ratio
   // subgraph or the sweep below drops/double-counts traffic.
@@ -84,8 +82,7 @@ double propagate_flow(const DiGraph& g, const Routing& routing, NodeId s,
 }  // namespace
 
 SimulationResult simulate(const DiGraph& g, const Routing& routing,
-                          const DemandMatrix& dm,
-                          const SimulateOptions& options) {
+                          const DemandMatrix& dm) {
   if (routing.num_nodes() != g.num_nodes() ||
       routing.num_edges() != g.num_edges() ||
       dm.num_nodes() != g.num_nodes()) {
@@ -101,13 +98,13 @@ SimulationResult simulate(const DiGraph& g, const Routing& routing,
       const double d = dm.at(s, t);
       if (d <= 0.0) continue;
       injected += d;
-      result.delivered += propagate_flow(g, routing, s, t, d,
-                                         result.link_load, options.strict);
+      result.delivered +=
+          propagate_flow(g, routing, s, t, d, result.link_load);
     }
   }
-  if (options.strict && injected > 0.0) {
+  if (injected > 0.0) {
     const double loss = std::abs(injected - result.delivered) / injected;
-    if (loss > options.conservation_tolerance) {
+    if (loss > kConservationTolerance) {
       throw std::runtime_error(
           "simulate: conservation violated, delivered " +
           std::to_string(result.delivered) + " of " +
@@ -123,11 +120,6 @@ SimulationResult simulate(const DiGraph& g, const Routing& routing,
         std::max(result.u_max, result.link_utilisation[static_cast<size_t>(e)]);
   }
   return result;
-}
-
-SimulationResult simulate(const DiGraph& g, const Routing& routing,
-                          const DemandMatrix& dm) {
-  return simulate(g, routing, dm, SimulateOptions{});
 }
 
 bool validate(const DiGraph& g, const Routing& routing,

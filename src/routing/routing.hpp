@@ -61,21 +61,10 @@ struct SimulationResult {
   double delivered = 0.0;
 };
 
-struct SimulateOptions {
-  // Relative tolerance for the delivered-traffic conservation check.
-  double conservation_tolerance = 1e-6;
-  // If true, a flow whose splitting ratios contain a cycle or lose traffic
-  // raises std::runtime_error; if false the loss is reported via
-  // `delivered` only.
-  bool strict = true;
-};
-
 // Propagates `dm` through `routing` on `g`.  Each flow's positive-ratio
 // edge set must be acyclic (guaranteed by the softmin translation's DAG
-// pruning); cycles raise std::runtime_error.
-SimulationResult simulate(const graph::DiGraph& g, const Routing& routing,
-                          const traffic::DemandMatrix& dm,
-                          const SimulateOptions& options);
+// pruning); a cycle, or delivered traffic off the injected total by more
+// than a relative 1e-6, raises std::runtime_error.
 SimulationResult simulate(const graph::DiGraph& g, const Routing& routing,
                           const traffic::DemandMatrix& dm);
 
@@ -89,10 +78,10 @@ bool validate(const graph::DiGraph& g, const Routing& routing,
 
 // Serving-path pre-simulation validator: for every flow with demand in
 // `dm`, checks destination absorption and that every ratio is finite and
-// in [0,1].  It deliberately covers only what strict simulation cannot —
+// in [0,1].  It deliberately covers only what simulate() cannot —
 // NaN ratios evade the conservation check (NaN comparisons are false) and
 // absorption violations are invisible to the propagation sweep — while
-// loops and row-sum violations are left to simulate(strict)'s Kahn and
+// loops and row-sum violations are left to simulate()'s Kahn and
 // conservation checks.  The pair covers the full §IV-A contract at a
 // fraction of validate()'s cost (a plain O(flows x E) scan, no
 // reachability fixed point).  Never throws: returns false with `error`

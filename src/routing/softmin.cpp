@@ -34,6 +34,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Splitting ratios below this are zeroed and the remainder renormalised;
+// keeps per-flow DAGs sparse without measurably changing U_max.
+constexpr double kRatioFloor = 1e-6;
+
 // Reverse Dijkstra to `t` restricted to masked edges: dist[v] = weighted
 // distance from v to t inside the pruned DAG.
 std::vector<double> masked_dist_to(const DiGraph& g, NodeId t,
@@ -113,7 +117,7 @@ void fill_destination_ratios(const DiGraph& g, NodeId t,
     std::vector<double> ratios = softmin(cost, options.gamma);
     double sum = 0.0;
     for (double& r : ratios) {
-      if (r < options.ratio_floor) r = 0.0;
+      if (r < kRatioFloor) r = 0.0;
       sum += r;
     }
     if (sum <= 0.0) {
@@ -229,7 +233,7 @@ Routing softmin_routing_generic(const DiGraph& g,
         // Floor tiny ratios and renormalise.
         double sum = 0.0;
         for (double& r : ratios) {
-          if (r < options.ratio_floor) r = 0.0;
+          if (r < kRatioFloor) r = 0.0;
           sum += r;
         }
         if (sum <= 0.0) {

@@ -33,9 +33,6 @@ struct SoftminOptions {
   // algorithm; under widespread weight ties it degenerates to near-trees
   // (see bench_prune_ablation), which is why it is not the default here.
   PruneMode prune_mode = PruneMode::kDistanceToSink;
-  // Splitting ratios below this are zeroed and the remainder renormalised;
-  // keeps per-flow DAGs sparse without measurably changing U_max.
-  double ratio_floor = 1e-6;
 };
 
 // Derives a complete routing for every (s,t) pair from per-edge weights

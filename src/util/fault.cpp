@@ -71,8 +71,10 @@ void FaultInjector::arm(const std::string& spec) {
   Schedule parsed[static_cast<int>(FaultSite::kSiteCount)];
   bool any = false;
 
+  // Every comma opens a clause, so a trailing comma yields an empty last
+  // clause; only the empty spec (disarm) has no clauses at all.
   std::size_t pos = 0;
-  while (pos < spec.size()) {
+  while (!spec.empty() && pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string entry = spec.substr(pos, comma - pos);

@@ -19,6 +19,7 @@
 #include "core/policies.hpp"
 #include "core/routing_env.hpp"
 #include "mcf/cache.hpp"
+#include "mcf/fptas.hpp"
 #include "mcf/optimal.hpp"
 #include "nn/serialize.hpp"
 #include "rl/ppo.hpp"
@@ -176,6 +177,8 @@ TEST(FaultInjector, MalformedSpecErrorsNameTheOffendingToken) {
   // Empty clause from a stray comma.
   msg = arm_error("lp_solve@1,,ckpt_write@2");
   EXPECT_NE(msg.find("empty clause"), std::string::npos) << msg;
+  msg = arm_error("lp_solve@1,");
+  EXPECT_NE(msg.find("empty clause"), std::string::npos) << msg;
 
   // A failed arm never leaves a partial schedule armed.
   EXPECT_FALSE(FaultInjector::instance().enabled());
@@ -232,8 +235,7 @@ TEST(SolverFallback, ApproximateResultWithinFptasBound) {
   ASSERT_GT(exact.u_max, 0.0);
 
   FaultInjector::instance().arm("lp_solve@1");
-  mcf::SolveOptions options;  // default epsilon 0.05
-  const mcf::OptimalResult approx = mcf::solve_optimal(g, dm, options);
+  const mcf::OptimalResult approx = mcf::solve_optimal(g, dm);
   EXPECT_EQ(approx.provenance, mcf::SolveProvenance::kApproximate);
   EXPECT_TRUE(approx.feasible);
   for (const auto& row : approx.flow_by_dest) EXPECT_TRUE(row.empty());
@@ -242,7 +244,7 @@ TEST(SolverFallback, ApproximateResultWithinFptasBound) {
   // floating-point noise.
   const double ratio = approx.u_max / exact.u_max;
   EXPECT_GE(ratio, 0.999);
-  EXPECT_LE(ratio, 1.0 / (1.0 - 3.0 * options.fptas_epsilon) + 0.05);
+  EXPECT_LE(ratio, 1.0 / (1.0 - 3.0 * mcf::FptasOptions{}.epsilon) + 0.05);
 }
 
 TEST(SolverFallback, ExactOnlyModeReportsFailure) {

@@ -217,19 +217,6 @@ TEST(StronglyConnected, DirectedCycleIs) {
   EXPECT_TRUE(is_strongly_connected(g));
 }
 
-TEST(AllPairs, MatchesSingleSource) {
-  const DiGraph g = topo::abilene();
-  const auto w = unit_weights(g);
-  const auto all = all_pairs_distances(g, w);
-  for (NodeId s = 0; s < g.num_nodes(); s += 3) {
-    const auto sp = dijkstra(g, s, w);
-    for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      EXPECT_DOUBLE_EQ(all[static_cast<size_t>(s)][static_cast<size_t>(t)],
-                       sp.dist[static_cast<size_t>(t)]);
-    }
-  }
-}
-
 TEST(ShortestPathDag, DiamondKeepsBothBranches) {
   DiGraph g(4);
   g.add_edge(0, 1, 1.0);

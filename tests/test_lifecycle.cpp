@@ -249,6 +249,27 @@ TEST(ModelRegistry, RejectsBadConfigurationAndGarbageCheckpoints) {
   EXPECT_EQ(registry.latest(), 0U);
 }
 
+TEST(ModelRegistry, RejectsManifestFilenamesOutsideTheRegistry) {
+  const std::string dir = fresh_dir("traversal");
+  const std::string ckpt = write_checkpoint(dir + "_src", 8);
+  const std::string victim = dir + "_victim.txt";
+  util::write_file_atomic(victim, "precious");
+  fs::create_directories(dir);
+  util::write_file_atomic(dir + "/MANIFEST",
+                          "gddr.registry.v1\n1 ../" +
+                              fs::path(victim).filename().string() +
+                              " 8 0\n");
+  // Retention 1 would prune version 1 — i.e. delete its file — on the
+  // next publish, so the manifest must be refused before that.
+  EXPECT_THROW(
+      {
+        ModelRegistry registry(dir, registry_config(/*retention=*/1));
+        (void)registry.publish_file(ckpt);
+      },
+      util::IoError);
+  EXPECT_TRUE(fs::exists(victim));
+}
+
 // ---------------- PolicySlot ----------------
 
 TEST(PolicySlot, StoreLoadRoundTripsAndCountsSwaps) {

