@@ -61,7 +61,8 @@ int main() {
     for (int trial = 0; trial < 200; ++trial) {
       std::vector<double> actions(static_cast<size_t>(g.num_edges()));
       for (auto& a : actions) a = wrng.uniform(-1.0, 1.0);
-      const auto weights = routing::weights_from_actions(actions, 0.5, 3.0);
+      const auto weights = routing::weights_from_actions(
+          actions, routing::kMinEdgeWeight, routing::kMaxEdgeWeight);
       const auto routing = routing::softmin_routing(g, weights);
       double sum = 0.0;
       int count = 0;

@@ -106,13 +106,10 @@ int main(int argc, char** argv) {
   const int memory = 5;
   const ScenarioParams params = experiment_scenario_params();
 
-  // (a) entirely different topologies, half to (nearly) double Abilene's
-  // size.  The 20+-node catalogue entries are excluded only to keep the
-  // default bench runtime in minutes — their optimal-MCF LPs cost ~1 s
-  // per demand matrix on one core (see bench_lp_micro).
+  // (a) entirely different topologies, half to double Abilene's size.
   util::Rng rng_a(20210303);
   std::vector<Scenario> different;
-  for (auto& s : make_size_band_scenarios(rng_a, params, 6, 18)) {
+  for (auto& s : make_size_band_scenarios(rng_a, params)) {
     if (s.graph.name() != "Abilene" && s.graph.name() != "AbileneHet") {
       different.push_back(std::move(s));
     }

@@ -179,8 +179,8 @@ double direct_pipeline_seconds(core::GnnPolicy& policy,
     // The same mean-only forward rung 1 runs: a batch of one.
     const std::vector<double> mean =
         rl::forward_action_means(policy, {&obs}).front();
-    const std::vector<double> weights =
-        routing::weights_from_actions(mean, 0.5, 3.0);
+    const std::vector<double> weights = routing::weights_from_actions(
+        mean, routing::kMinEdgeWeight, routing::kMaxEdgeWeight);
     const routing::Routing strategy = routing::softmin_routing(g, weights);
     const routing::SimulationResult sim = routing::simulate(g, strategy, dm);
     (void)sim;

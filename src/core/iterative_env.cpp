@@ -12,16 +12,18 @@ namespace gddr::core {
 
 using rl::Observation;
 
+namespace {
+// The gamma action in [-1,1] maps log-linearly onto [kMinGamma, kMaxGamma].
+constexpr double kMinGamma = 0.5;
+constexpr double kMaxGamma = 20.0;
+}  // namespace
+
 IterativeRoutingEnv::IterativeRoutingEnv(std::vector<Scenario> scenarios,
                                          IterativeEnvConfig config,
                                          std::uint64_t seed)
     : cursor_(std::move(scenarios), config.memory, seed,
               "IterativeRoutingEnv"),
-      config_(config) {
-  if (!(config_.min_gamma > 0.0) || !(config_.max_gamma > config_.min_gamma)) {
-    throw std::invalid_argument("IterativeRoutingEnv: bad gamma range");
-  }
-}
+      config_(config) {}
 
 void IterativeRoutingEnv::set_mode(Mode mode) {
   cursor_.set_mode(mode);
@@ -40,8 +42,8 @@ void IterativeRoutingEnv::seek_test_unit(std::size_t unit) {
 
 double IterativeRoutingEnv::map_gamma(double a) const {
   const double x = std::clamp(a, -1.0, 1.0);
-  const double log_lo = std::log(config_.min_gamma);
-  const double log_hi = std::log(config_.max_gamma);
+  const double log_lo = std::log(kMinGamma);
+  const double log_hi = std::log(kMaxGamma);
   return std::exp(log_lo + (x + 1.0) * 0.5 * (log_hi - log_lo));
 }
 
@@ -108,8 +110,8 @@ rl::Env::StepResult IterativeRoutingEnv::step(std::span<const double> action) {
   // paper Eq. 7).
   const auto& dm = seq[static_cast<size_t>(t_)];
   const std::vector<double> weights = routing::weights_from_actions(
-      pending_weights_, config_.min_weight, config_.max_weight);
-  routing::SoftminOptions softmin = config_.softmin;
+      pending_weights_, routing::kMinEdgeWeight, routing::kMaxEdgeWeight);
+  routing::SoftminOptions softmin;
   softmin.gamma = map_gamma(action[1]);
   const routing::Routing strategy = routing::softmin_routing(g, weights,
                                                              softmin);

@@ -32,21 +32,13 @@ namespace gddr::core {
 
 struct IterativeEnvConfig {
   int memory = 5;
-  routing::SoftminOptions softmin;  // gamma field is overridden per step
-  // See EnvConfig for the rationale behind the narrow weight range.
-  double min_weight = 0.5;
-  double max_weight = 3.0;
-  // The gamma action in [-1,1] maps log-linearly onto this range.
-  double min_gamma = 0.5;
-  double max_gamma = 20.0;
 };
 
 class IterativeRoutingEnv final : public rl::Env {
  public:
   using Mode = EpisodeCursor::Mode;
 
-  // Throws std::invalid_argument on the scenario checks of EpisodeCursor
-  // or a bad gamma range.
+  // Throws std::invalid_argument on the scenario checks of EpisodeCursor.
   IterativeRoutingEnv(std::vector<Scenario> scenarios,
                       IterativeEnvConfig config, std::uint64_t seed);
 
@@ -86,7 +78,8 @@ class IterativeRoutingEnv final : public rl::Env {
     cursor_.set_shared_cache(std::move(cache));
   }
 
-  // gamma value produced by mapping action component a in [-1,1].
+  // gamma value produced by mapping action component a in [-1,1]
+  // log-linearly onto [kMinGamma, kMaxGamma] (iterative_env.cpp).
   double map_gamma(double a) const;
 
  private:

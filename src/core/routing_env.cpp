@@ -116,8 +116,8 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
   routing::Routing strategy;
   if (config_.action_space == ActionSpace::kEdgeWeights) {
     const std::vector<double> weights = routing::weights_from_actions(
-        action, config_.min_weight, config_.max_weight);
-    strategy = routing::softmin_routing(g, weights, config_.softmin);
+        action, routing::kMinEdgeWeight, routing::kMaxEdgeWeight);
+    strategy = routing::softmin_routing(g, weights);
   } else {
     // Destination-major |V| x |E| action layout (paper §V-C intermediate).
     std::vector<std::vector<double>> weights_by_dest(
@@ -128,10 +128,10 @@ rl::Env::StepResult RoutingEnv::step(std::span<const double> action) {
               action.subspan(static_cast<size_t>(t) *
                                  static_cast<size_t>(g.num_edges()),
                              static_cast<size_t>(g.num_edges())),
-              config_.min_weight, config_.max_weight);
+              routing::kMinEdgeWeight, routing::kMaxEdgeWeight);
     }
-    strategy = routing::softmin_routing_per_destination(g, weights_by_dest,
-                                                        config_.softmin);
+    strategy = routing::softmin_routing_per_destination(
+        g, weights_by_dest, routing::SoftminOptions{});
   }
   last_ratio_ = utilisation_ratio(g, strategy, dm, cursor_.cache());
   StepResult result;

@@ -44,19 +44,11 @@ enum class NodeFeatureMode { kInOutSums, kFullDemandRows };
 // (bench_action_space_learning).
 enum class ActionSpace { kEdgeWeights, kPerDestinationWeights };
 
+// Actions translate under the default routing::SoftminOptions.
 struct EnvConfig {
   int memory = 5;  // demand-history length (paper: 5)
   NodeFeatureMode node_features = NodeFeatureMode::kInOutSums;
   ActionSpace action_space = ActionSpace::kEdgeWeights;
-  routing::SoftminOptions softmin;
-  // Raw actions in [-1,1] map affinely onto [min_weight, max_weight].
-  // The range is deliberately narrow: with softmin spread gamma ~ 2, a
-  // max weight delta of 2.5 already expresses ~150:1 path preferences
-  // while keeping the reward landscape smooth enough for PPO (a wide
-  // range such as [0.1, 10] turns softmin into a hard argmin almost
-  // everywhere and gradients vanish).
-  double min_weight = 0.5;
-  double max_weight = 3.0;
   // Hard per-episode step cap (0 = uncapped).  An episode cut by the cap
   // — like one ending because the demand sequence ran out — is a
   // truncation, not a terminal: StepResult::truncated is set and the

@@ -8,10 +8,15 @@
 namespace gddr::lifecycle {
 namespace {
 
+// Shadow win-rate a candidate needs to advance to canary.
+constexpr double kMinWinRate = 0.5;
+// Candidate rung-1 failures tolerated per phase (NaN/Inf output is
+// always an instant rollback, independent of this budget).
+constexpr long kMaxCandidateFailures = 0;
+
 ShadowConfig shadow_config(const PromoterConfig& config) {
   ShadowConfig sc;
   sc.fraction = config.shadow_fraction;
-  sc.latency_window = config.latency_window;
   sc.router = config.router;
   return sc;
 }
@@ -88,21 +93,17 @@ void Promoter::observe(const serve::RouteRequest& request,
         rollback("candidate_nan");
         return;
       }
-      if (s.candidate_failures > config_.max_candidate_failures) {
+      if (s.candidate_failures > kMaxCandidateFailures) {
         rollback("shadow_candidate_failures");
         return;
       }
       if (s.mirrored >= config_.promote_after) {
-        const bool win_ok = s.win_rate() >= config_.min_win_rate;
-        const bool latency_ok =
-            config_.max_p99_latency_us <= 0.0 ||
-            s.p99_latency_us <= config_.max_p99_latency_us;
-        if (win_ok && latency_ok) {
+        if (s.win_rate() >= kMinWinRate) {
           engine_.set_candidate(candidate_, candidate_version_,
                                 config_.canary_fraction);
           state_ = PromoteState::kCanary;
         } else {
-          rollback(win_ok ? "shadow_latency_gate" : "shadow_win_rate_gate");
+          rollback("shadow_win_rate_gate");
         }
       }
       break;
@@ -117,7 +118,7 @@ void Promoter::observe(const serve::RouteRequest& request,
         return;
       }
       if (record.rung != serve::Rung::kGnnPolicy) {
-        if (++canary_failures_ > config_.max_candidate_failures) {
+        if (++canary_failures_ > kMaxCandidateFailures) {
           rollback("canary_candidate_failures");
           return;
         }

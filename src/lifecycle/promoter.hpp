@@ -11,16 +11,15 @@
 // arms the shadow evaluator and lands in kShadow before returning.)
 //
 // Gates, judged from live-traffic evidence fed through observe():
-//  * Shadow phase — after `promote_after` mirrored pairs: the candidate
-//    advances to canary iff its win-rate ≥ `min_win_rate`, its shadow
-//    p99 decision latency is under `max_p99_latency_us` (0 disables the
-//    latency gate) and its rung-1 failure count is within
-//    `max_candidate_failures`.
+//  * Shadow phase — a candidate rung-1 failure rolls back at once.
+//    After `promote_after` mirrored pairs the candidate advances to
+//    canary iff its win-rate is at least kMinWinRate (promoter.cpp).
 //  * Canary phase — a `canary_fraction` share of real micro-batches is
 //    served by the candidate (serve::Engine::set_candidate).  After
-//    `canary_decisions` candidate-served decisions with failures within
-//    budget, the candidate is promoted: installed as the live policy
-//    (zero-downtime hot swap) and recorded as the new last-good.
+//    `canary_decisions` candidate-served decisions without a rung-1
+//    failure, the candidate is promoted: installed as the live policy
+//    (zero-downtime hot swap) and recorded as the new last-good; a
+//    failure rolls back.
 //  * Any NaN/Inf action mean from the candidate — shadow or canary —
 //    rolls back immediately, regardless of budgets.
 //
@@ -60,15 +59,8 @@ struct PromoterConfig {
   double canary_fraction = 0.1;
   // Mirrored pairs required before the shadow gates are judged.
   long promote_after = 50;
-  double min_win_rate = 0.5;
-  // Shadow p99 decision-latency ceiling in µs; 0 disables the gate.
-  double max_p99_latency_us = 0.0;
   // Candidate-served decisions required to clear the canary.
   long canary_decisions = 20;
-  // Candidate rung-1 failures tolerated per phase (NaN/Inf output is
-  // always an instant rollback, independent of this budget).
-  long max_candidate_failures = 0;
-  std::size_t latency_window = 512;
   // Serving pipeline for the shadow mirror router.
   serve::RouterConfig router;
 };

@@ -16,13 +16,14 @@ namespace {
 // must clear the win-rate gate, and exact U_max ties are routine on
 // small topologies.
 constexpr double kTieTolerance = 1e-12;
+// Candidate decision-latency samples kept for ShadowStats::p99_latency_us.
+constexpr std::size_t kLatencyWindow = 512;
 }  // namespace
 
 ShadowEvaluator::ShadowEvaluator(ShadowConfig config)
     : config_(config) {
   const double f = std::clamp(config_.fraction, 1e-6, 1.0);
   stride_ = std::max<long>(1, std::lround(1.0 / f));
-  if (config_.latency_window == 0) config_.latency_window = 1;
 }
 
 void ShadowEvaluator::arm(std::shared_ptr<const core::GnnPolicy> candidate,
@@ -95,11 +96,11 @@ void ShadowEvaluator::observe(const serve::RouteRequest& request,
   bucket.delta.add(delta);
 
   const double latency_us = mirror.latency_s * 1e6;
-  if (latencies_us_.size() < config_.latency_window) {
+  if (latencies_us_.size() < kLatencyWindow) {
     latencies_us_.push_back(latency_us);
   } else {
     latencies_us_[latency_next_] = latency_us;
-    latency_next_ = (latency_next_ + 1) % config_.latency_window;
+    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
   }
 
   obs::gauge("lifecycle/shadow_win_rate",

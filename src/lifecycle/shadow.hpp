@@ -47,8 +47,6 @@ struct ShadowConfig {
   // as stride sampling (every round(1/fraction)-th observed request),
   // clamped to (0, 1].
   double fraction = 0.2;
-  // Candidate decision-latency samples kept for the p99 gate.
-  std::size_t latency_window = 512;
   // The candidate's serving pipeline (deadlines, sanitiser, breaker).
   serve::RouterConfig router;
 };
@@ -67,6 +65,8 @@ struct ShadowStats {
   long candidate_failures = 0;  // candidate fell off rung 1
   long nonfinite_outputs = 0;   // candidate produced NaN/Inf means
   util::RunningStat delta;
+  // Over the candidate's latest kLatencyWindow (shadow.cpp) mirror
+  // decisions.
   double p99_latency_us = 0.0;
   std::vector<ShadowTopologyStats> by_topology;
 

@@ -45,6 +45,15 @@ void LinearProgram::add_constraint(
 
 namespace {
 
+// Pivot elements and reduced costs within kPivotTolerance of zero, and
+// basic values or a phase-1 objective within kFeasibilityTolerance, count
+// as zero.
+constexpr double kPivotTolerance = 1e-9;
+constexpr double kFeasibilityTolerance = 1e-7;
+// Consecutive degenerate pivots before pricing falls back to Bland's rule
+// (see iterate), so degenerate LPs terminate instead of looping.
+constexpr std::size_t kDegeneratePivotLimit = 64;
+
 // Dense tableau with an attached cost row; column layout is
 // [structural | slack/surplus | artificial | rhs].
 class Tableau {
@@ -149,12 +158,7 @@ enum class IterateResult { kOptimal, kUnbounded, kIterationLimit };
 // cache line pins that layout.
 __attribute__((aligned(64)))
 IterateResult iterate(SimplexState& s, std::size_t col_limit,
-                      const LinearProgram::Options& options,
                       std::size_t max_iterations) {
-  const double pivot_tol = options.pivot_tolerance;
-  const std::size_t degenerate_limit =
-      options.degenerate_pivot_limit > 0 ? options.degenerate_pivot_limit
-                                         : 1;
   std::size_t degenerate = 0;
   double last_objective = std::numeric_limits<double>::infinity();
   bool bland = false;
@@ -163,13 +167,13 @@ IterateResult iterate(SimplexState& s, std::size_t col_limit,
     std::size_t entering = s.total_cols;  // sentinel: none
     if (bland) {
       for (std::size_t c = 0; c < col_limit; ++c) {
-        if (s.tableau.at(s.cost_row, c) < -pivot_tol) {
+        if (s.tableau.at(s.cost_row, c) < -kPivotTolerance) {
           entering = c;
           break;
         }
       }
     } else {
-      double best = -pivot_tol;
+      double best = -kPivotTolerance;
       for (std::size_t c = 0; c < col_limit; ++c) {
         const double rc = s.tableau.at(s.cost_row, c);
         if (rc < best) {
@@ -185,7 +189,7 @@ IterateResult iterate(SimplexState& s, std::size_t col_limit,
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < s.m; ++r) {
       const double a = s.tableau.at(r, entering);
-      if (a > pivot_tol) {
+      if (a > kPivotTolerance) {
         const double ratio = s.tableau.at(r, s.rhs_col) / a;
         if (ratio < best_ratio - 1e-12 ||
             (ratio < best_ratio + 1e-12 &&
@@ -213,7 +217,7 @@ IterateResult iterate(SimplexState& s, std::size_t col_limit,
     if (objective < last_objective - 1e-12) {
       degenerate = 0;
       bland = false;
-    } else if (++degenerate >= degenerate_limit) {
+    } else if (++degenerate >= kDegeneratePivotLimit) {
       bland = true;
     }
     last_objective = objective;
@@ -243,10 +247,9 @@ void install_costs(SimplexState& s, const std::vector<double>& costs) {
 // basic feasible solution phase 2 can start from: every pivot element
 // above the pivot tolerance, every row with a basic column (a row without
 // a slack has none until the start gives it one), and every basic value
-// >= -feasibility_tolerance.
+// >= -kFeasibilityTolerance.
 bool pivot_in_start(SimplexState& s, std::span<const int> start,
-                    std::size_t num_structural,
-                    const LinearProgram::Options& options) {
+                    std::size_t num_structural) {
   if (start.size() != s.m) return false;
   for (std::size_t r = 0; r < s.m; ++r) {
     if (start[r] == -1) continue;
@@ -255,14 +258,14 @@ bool pivot_in_start(SimplexState& s, std::span<const int> start,
       return false;
     }
     const auto c = static_cast<std::size_t>(start[r]);
-    if (std::abs(s.tableau.at(r, c)) <= options.pivot_tolerance) return false;
+    if (std::abs(s.tableau.at(r, c)) <= kPivotTolerance) return false;
     s.tableau.pivot(r, c);
     s.basis[r] = start[r];
     ++s.pivots;
   }
   for (std::size_t r = 0; r < s.m; ++r) {
     if (s.basis[r] < 0 ||
-        s.tableau.at(r, s.rhs_col) < -options.feasibility_tolerance) {
+        s.tableau.at(r, s.rhs_col) < -kFeasibilityTolerance) {
       return false;
     }
   }
@@ -273,7 +276,6 @@ bool pivot_in_start(SimplexState& s, std::span<const int> start,
 // with artificials barred from entering, then reads the solution off the
 // basis.
 Solution optimise(SimplexState& s, const std::vector<double>& objective,
-                  const LinearProgram::Options& options,
                   std::size_t max_iterations) {
   const std::size_t n = objective.size();
   std::vector<double> costs(s.total_cols, 0.0);
@@ -281,7 +283,7 @@ Solution optimise(SimplexState& s, const std::vector<double>& objective,
   install_costs(s, costs);
   Solution solution;
   const IterateResult result =
-      iterate(s, s.artificial_begin, options, max_iterations);
+      iterate(s, s.artificial_begin, max_iterations);
   if (result == IterateResult::kUnbounded) {
     solution.status = SolveStatus::kUnbounded;
     return solution;
@@ -315,8 +317,7 @@ Solution optimise(SimplexState& s, const std::vector<double>& objective,
 
 }  // namespace
 
-Solution LinearProgram::solve(const Options& options,
-                              std::span<const int> start) const {
+Solution LinearProgram::solve(std::span<const int> start) const {
   const auto n = static_cast<std::size_t>(num_variables());
   const auto m = static_cast<std::size_t>(num_constraints());
 
@@ -351,9 +352,7 @@ Solution LinearProgram::solve(const Options& options,
   }
   const std::size_t artificial_begin = n + num_slack;
   const std::size_t max_iters =
-      options.max_iterations > 0
-          ? options.max_iterations
-          : 200 * (m + artificial_begin + num_artificial) + 10000;
+      200 * (m + artificial_begin + num_artificial) + 10000;
 
   std::size_t pivots = 0;
   const PivotRecorder recorder{pivots};
@@ -398,9 +397,9 @@ Solution LinearProgram::solve(const Options& options,
   if (!start.empty()) {
     SimplexState s(m, artificial_begin, artificial_begin, pivots);
     load_rows(s, /*with_artificials=*/false);
-    if (pivot_in_start(s, start, n, options)) {
+    if (pivot_in_start(s, start, n)) {
       GDDR_VALIDATE(check_basis(s.basis, s.total_cols, "lp/start/basis"));
-      return optimise(s, objective_, options, max_iters);
+      return optimise(s, objective_, max_iters);
     }
     obs::count("lp/start_fallbacks");
   }
@@ -417,14 +416,14 @@ Solution LinearProgram::solve(const Options& options,
       phase1_costs[c] = 1.0;
     }
     install_costs(s, phase1_costs);
-    const IterateResult r1 = iterate(s, total_cols, options, max_iters);
+    const IterateResult r1 = iterate(s, total_cols, max_iters);
     if (r1 == IterateResult::kIterationLimit) {
       Solution solution;
       solution.status = SolveStatus::kIterationLimit;
       return solution;
     }
     const double phase1_obj = -s.tableau.at(s.cost_row, s.rhs_col);
-    if (phase1_obj > options.feasibility_tolerance) {
+    if (phase1_obj > kFeasibilityTolerance) {
       Solution solution;
       solution.status = SolveStatus::kInfeasible;
       return solution;
@@ -434,7 +433,7 @@ Solution LinearProgram::solve(const Options& options,
     for (std::size_t r = 0; r < m; ++r) {
       if (static_cast<std::size_t>(s.basis[r]) < artificial_begin) continue;
       for (std::size_t c = 0; c < artificial_begin; ++c) {
-        if (std::abs(s.tableau.at(r, c)) > options.pivot_tolerance) {
+        if (std::abs(s.tableau.at(r, c)) > kPivotTolerance) {
           s.tableau.pivot(r, c);
           s.basis[r] = static_cast<int>(c);
           ++s.pivots;
@@ -450,13 +449,13 @@ Solution LinearProgram::solve(const Options& options,
       for (std::size_t r = 0; r < m; ++r) {
         basic_values[r] = s.tableau.at(r, s.rhs_col);
       }
-      check_rhs_nonnegative(basic_values, options.feasibility_tolerance,
+      check_rhs_nonnegative(basic_values, kFeasibilityTolerance,
                             "lp/phase1/rhs");
     }());
   }
 
   // --- Phase 2: minimise the real objective; artificials may not enter ---
-  return optimise(s, objective_, options, max_iters);
+  return optimise(s, objective_, max_iters);
 }
 
 }  // namespace gddr::lp

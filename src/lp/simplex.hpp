@@ -55,33 +55,18 @@ class LinearProgram {
   void add_constraint(const std::vector<std::pair<int, double>>& terms,
                       Relation rel, double rhs);
 
-  struct Options {
-    // 0 = choose automatically from problem size.
-    std::size_t max_iterations = 0;
-    double pivot_tolerance = 1e-9;
-    double feasibility_tolerance = 1e-7;
-    // Anti-cycling: after this many consecutive pivots without objective
-    // improvement (degenerate pivots), pricing falls back to Bland's rule
-    // — smallest-index entering column plus the smallest-basis-index
-    // ratio-test tie-break — which provably cannot cycle.  Dantzig
-    // pricing resumes once the objective strictly improves.  Must be > 0;
-    // pathological degenerate LPs (which parallel evaluation can hit on
-    // arbitrary generated scenarios) terminate instead of looping.
-    std::size_t degenerate_pivot_limit = 64;
-  };
-
   // `start`, when non-empty, is a starting basis with one entry per
   // constraint: the structural variable to make basic in that row, or -1
   // to keep the row's own slack (an equality or >= row has none, so it
   // needs a variable).  The entries are pivoted in row order; when they
   // form a feasible basis, phase 1 is skipped.  A start of the wrong size,
-  // one that meets a pivot element within pivot_tolerance, leaves an
-  // equality or >= row without a variable or gives a basic value below
-  // -feasibility_tolerance is dropped (counted in "lp/start_fallbacks")
-  // and the two-phase solve runs instead.  Its pivots count in
-  // "lp/pivots" either way.
-  Solution solve(const Options& options, std::span<const int> start = {}) const;
-  Solution solve() const { return solve(Options{}); }
+  // one that meets a zero pivot element, leaves an equality or >= row
+  // without a variable or gives a negative basic value is dropped (counted
+  // in "lp/start_fallbacks") and the two-phase solve runs instead.  Its
+  // pivots count in "lp/pivots" either way.  A phase that outruns the
+  // size-derived pivot budget set in solve() (simplex.cpp) ends in
+  // kIterationLimit.
+  Solution solve(std::span<const int> start = {}) const;
 
  private:
   struct Row {

@@ -154,10 +154,8 @@ OptimalResult solve_optimal(const DiGraph& g, const DemandMatrix& dm,
   if (util::inject(util::FaultSite::kLpSolve)) {
     sol.status = lp::SolveStatus::kIterationLimit;
   } else {
-    lp::LinearProgram::Options lp_options;
-    lp_options.max_iterations = options.max_simplex_iterations;
-    sol = prog.solve(lp_options, shortest_path_tree_basis(
-                                     g, dm, dests, block_start, u_var));
+    sol = prog.solve(
+        shortest_path_tree_basis(g, dm, dests, block_start, u_var));
   }
 
   if (sol.status == lp::SolveStatus::kInfeasible) {

@@ -40,9 +40,8 @@ enum class SolveProvenance {
 const char* to_string(SolveProvenance provenance);
 
 struct SolveOptions {
-  // Simplex iteration budget (0 = automatic from problem size).  When the
-  // budget is exhausted the fallback chain engages.
-  std::size_t max_simplex_iterations = 0;
+  // The simplex runs with lp::LinearProgram::solve's size-derived
+  // iteration budget; when it is exhausted the fallback chain engages.
   // Disable to make solve_optimal exact-only (callers that need
   // flow_by_dest, which the FPTAS cannot provide).  The fallback runs at
   // the default FptasOptions::epsilon.

@@ -6,6 +6,11 @@
 namespace gddr::rl {
 namespace {
 
+// Learning-rate multiplier applied on each rollback.
+constexpr double kLrShrink = 0.5;
+// Floor under repeated shrinks.
+constexpr double kMinLearningRate = 1e-7;
+
 bool all_finite(std::span<const float> data) {
   for (const float v : data) {
     if (!std::isfinite(v)) return false;
@@ -16,8 +21,8 @@ bool all_finite(std::span<const float> data) {
 }  // namespace
 
 HealthMonitor::HealthMonitor(std::vector<nn::Parameter*> params,
-                             HealthConfig config, const nn::Adam& optimizer)
-    : params_(std::move(params)), config_(config) {
+                             const nn::Adam& optimizer)
+    : params_(std::move(params)) {
   capture(optimizer);
 }
 
@@ -47,8 +52,8 @@ double HealthMonitor::rollback(nn::Adam& optimizer) {
     params_[i]->value = good_values_[i];
   }
   optimizer.import_state(good_optimizer_, params_);
-  const double shrunk = std::max(config_.min_learning_rate,
-                                 optimizer.learning_rate() * config_.lr_shrink);
+  const double shrunk =
+      std::max(kMinLearningRate, optimizer.learning_rate() * kLrShrink);
   optimizer.set_learning_rate(shrunk);
   ++rollbacks_;
   return shrunk;

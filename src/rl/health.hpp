@@ -40,24 +40,13 @@ inline bool all_finite(std::span<const double> values) {
   return true;
 }
 
-struct HealthConfig {
-  bool enabled = true;
-  // Learning-rate multiplier applied on each rollback.
-  double lr_shrink = 0.5;
-  // Floor under repeated shrinks; reaching it keeps training (rollbacks
-  // still protect the weights) without the lr collapsing to zero.
-  double min_learning_rate = 1e-7;
-};
-
 class HealthMonitor {
  public:
   // `params` must outlive the monitor (they are the trainer's parameter
   // span).  The first snapshot is captured immediately, so a rollback is
   // valid before any step has happened.
-  HealthMonitor(std::vector<nn::Parameter*> params, HealthConfig config,
+  HealthMonitor(std::vector<nn::Parameter*> params,
                 const nn::Adam& optimizer);
-
-  bool enabled() const { return config_.enabled; }
 
   // Records the current parameters + optimiser state as last-good.
   void capture(const nn::Adam& optimizer);
@@ -67,8 +56,10 @@ class HealthMonitor {
   bool parameters_finite() const;
 
   // Restores the last-good snapshot into the parameters and `optimizer`
-  // and shrinks its learning rate (never below min_learning_rate).
-  // Returns the learning rate now in effect.
+  // and shrinks its learning rate by kLrShrink, never below
+  // kMinLearningRate (both in health.cpp): at that floor training goes on
+  // (rollbacks still protect the weights) without the lr collapsing to
+  // zero.  Returns the learning rate now in effect.
   double rollback(nn::Adam& optimizer);
 
   // Lifetime counters (monotone; survive across iterations).
@@ -78,7 +69,6 @@ class HealthMonitor {
 
  private:
   std::vector<nn::Parameter*> params_;
-  HealthConfig config_;
   std::vector<nn::Tensor> good_values_;
   nn::Adam::State good_optimizer_;
   long nonfinite_events_ = 0;

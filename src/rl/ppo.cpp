@@ -207,7 +207,7 @@ PpoTrainer::PpoTrainer(Policy& policy, std::vector<Env*> envs,
       collector_(policy, std::move(envs), seed, pool),
       steps_per_env_((config.rollout_steps + collector_.num_envs() - 1) /
                      collector_.num_envs()),
-      health_(params_, config.health, optimizer_) {}
+      health_(params_, optimizer_) {}
 
 std::vector<double> PpoTrainer::act_deterministic(const Observation& obs) {
   return forward_action_mean(policy_, obs);
@@ -288,36 +288,33 @@ PpoIterationStats PpoTrainer::update(RolloutBuffer& buffer) {
       minibatch_loss.add(mb.loss);
       nn::clip_grad_norm(params_, config_.max_grad_norm);
 
-      if (health_.enabled()) {
-        // Deterministic fault injection: poison one gradient entry so
-        // tests can prove the recovery path below actually fires.
-        if (util::inject(util::FaultSite::kNanGradient) && !params_.empty()) {
-          params_.front()->grad.data()[0] =
-              std::numeric_limits<float>::quiet_NaN();
-        }
-        if (!std::isfinite(mb.loss) || !health_.gradients_finite()) {
-          // NaN/Inf before the step: skip it, restore last-good weights
-          // and optimiser moments, shrink the lr, keep training.
-          health_.note_nonfinite();
-          ++stats.nonfinite_events;
-          health_.rollback(optimizer_);
-          ++stats.health_rollbacks;
-          continue;
-        }
-        optimizer_.step(params_);
-        if (!health_.parameters_finite()) {
-          // The step itself overflowed (e.g. astronomically scaled
-          // moments): undo it the same way.
-          health_.note_nonfinite();
-          ++stats.nonfinite_events;
-          health_.rollback(optimizer_);
-          ++stats.health_rollbacks;
-          continue;
-        }
-        health_.capture(optimizer_);
-      } else {
-        optimizer_.step(params_);
+      // Numerical-health watchdog (see rl/health.hpp).  Deterministic
+      // fault injection: poison one gradient entry so tests can prove the
+      // recovery path below actually fires.
+      if (util::inject(util::FaultSite::kNanGradient) && !params_.empty()) {
+        params_.front()->grad.data()[0] =
+            std::numeric_limits<float>::quiet_NaN();
       }
+      if (!std::isfinite(mb.loss) || !health_.gradients_finite()) {
+        // NaN/Inf before the step: skip it, restore last-good weights
+        // and optimiser moments, shrink the lr, keep training.
+        health_.note_nonfinite();
+        ++stats.nonfinite_events;
+        health_.rollback(optimizer_);
+        ++stats.health_rollbacks;
+        continue;
+      }
+      optimizer_.step(params_);
+      if (!health_.parameters_finite()) {
+        // The step itself overflowed (e.g. astronomically scaled
+        // moments): undo it the same way.
+        health_.note_nonfinite();
+        ++stats.nonfinite_events;
+        health_.rollback(optimizer_);
+        ++stats.health_rollbacks;
+        continue;
+      }
+      health_.capture(optimizer_);
 
       policy_loss_acc += mb.policy_loss / batch_size;
       value_loss_acc += mb.value_loss / batch_size;

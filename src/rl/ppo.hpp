@@ -39,10 +39,6 @@ struct PpoConfig {
   // Rewards are multiplied by this before storage (keeps value targets in
   // a friendly range for long episodes).
   double reward_scale = 1.0;
-  // Numerical-health watchdog (see rl/health.hpp): NaN/Inf losses,
-  // gradients or parameters trigger a rollback to the last-good snapshot
-  // plus a learning-rate shrink instead of corrupting the run.
-  HealthConfig health;
 };
 
 struct PpoIterationStats {

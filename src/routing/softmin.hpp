@@ -66,10 +66,20 @@ Routing softmin_routing_per_destination(
     const std::vector<std::vector<double>>& weights_by_dest,
     const SoftminOptions& options);
 
+// The edge-weight range raw actions map onto, in training and serving
+// alike.  It is deliberately narrow: with softmin spread gamma ~ 2, a max
+// weight delta of 2.5 already expresses ~150:1 path preferences while
+// keeping the reward landscape smooth enough for PPO (a wide range such
+// as [0.1, 10] turns softmin into a hard argmin almost everywhere and
+// gradients vanish).  perfbench/cpp/replay.cpp passes the literals
+// 0.5, 3.0; they must stay equal to these.
+inline constexpr double kMinEdgeWeight = 0.5;
+inline constexpr double kMaxEdgeWeight = 3.0;
+
 // Maps raw agent actions in [-1,1] to strictly positive edge weights
 // usable by softmin_routing (affine map to [min_weight, max_weight]).
 std::vector<double> weights_from_actions(std::span<const double> actions,
-                                         double min_weight = 0.1,
-                                         double max_weight = 10.0);
+                                         double min_weight,
+                                         double max_weight);
 
 }  // namespace gddr::routing

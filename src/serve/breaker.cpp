@@ -7,6 +7,16 @@
 
 namespace gddr::serve {
 
+namespace {
+// Backoff growth factor per failed probe, and its ceiling.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr std::chrono::microseconds kMaxBackoff{5'000'000};
+// A half-open probe that has not reported a verdict within this window
+// is presumed dead: the next admission attempt re-opens the breaker
+// (with grown backoff) instead of waiting forever.
+constexpr std::chrono::microseconds kProbeTimeout{1'000'000};
+}  // namespace
+
 const char* to_string(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed:
@@ -48,12 +58,8 @@ CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig& config)
     throw std::invalid_argument("CircuitBreaker: non-positive threshold");
   }
   if (config.initial_backoff.count() <= 0 ||
-      config.max_backoff < config.initial_backoff ||
-      config.backoff_multiplier < 1.0) {
+      config.initial_backoff > kMaxBackoff) {
     throw std::invalid_argument("CircuitBreaker: bad backoff configuration");
-  }
-  if (config.probe_timeout.count() <= 0) {
-    throw std::invalid_argument("CircuitBreaker: non-positive probe timeout");
   }
 }
 
@@ -75,7 +81,7 @@ CircuitBreaker::Probe CircuitBreaker::admit(Clock::time_point now) {
       // truth, because the breaker is shared across serving workers —
       // per-worker before/after stat diffing would double-count.
       obs::count("serve/breaker/probe");
-      probe_deadline_ = now + config_.probe_timeout;
+      probe_deadline_ = now + kProbeTimeout;
       return Probe(this, generation_, now);
     case BreakerState::kHalfOpen:
       // A live probe is still in flight between admit() and its verdict.
@@ -109,9 +115,7 @@ void CircuitBreaker::report(std::uint64_t generation, bool success,
     ++stats_.reopens;
     obs::count("serve/breaker/reopen");
     // The probe failed: back off harder before the next one.
-    const auto grown = std::chrono::microseconds(static_cast<long long>(
-        static_cast<double>(backoff_.count()) * config_.backoff_multiplier));
-    backoff_ = std::min(grown, config_.max_backoff);
+    grow_backoff_locked();
     open_locked(now);
     return;
   }
@@ -139,10 +143,14 @@ void CircuitBreaker::expire_dead_probe_locked(Clock::time_point now) {
   ++stats_.reopens;
   obs::count("serve/breaker/probe_timeout");
   obs::count("serve/breaker/reopen");
-  const auto grown = std::chrono::microseconds(static_cast<long long>(
-      static_cast<double>(backoff_.count()) * config_.backoff_multiplier));
-  backoff_ = std::min(grown, config_.max_backoff);
+  grow_backoff_locked();
   open_locked(now);
+}
+
+void CircuitBreaker::grow_backoff_locked() {
+  const auto grown = std::chrono::microseconds(static_cast<long long>(
+      static_cast<double>(backoff_.count()) * kBackoffMultiplier));
+  backoff_ = std::min(grown, kMaxBackoff);
 }
 
 }  // namespace gddr::serve

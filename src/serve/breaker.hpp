@@ -6,16 +6,18 @@
 // and the router skips straight to the fallback rungs.  While open, the
 // breaker re-admits a single probe request after an exponentially growing
 // backoff (half-open state); the probe's outcome decides between closing
-// (recovery) and re-opening with a doubled backoff.
+// (recovery) and re-opening with a grown backoff (kBackoffMultiplier,
+// capped at kMaxBackoff; both in breaker.cpp).
 //
 // Admission hands out an RAII Probe token rather than a bare bool: if the
 // admitted request dies between admission and its verdict (an exception
 // unwinding through the rung, a worker crash-path), the token's
 // destructor records the failure, so a lost probe can never wedge the
 // breaker half-open.  As a second belt, a half-open probe that has not
-// reported by `probe_timeout` is presumed dead on the next admission
-// attempt: the breaker re-opens with a grown backoff and the late verdict
-// (if it ever arrives) is discarded as stale via a generation counter.
+// reported within kProbeTimeout (breaker.cpp) is presumed dead on the
+// next admission attempt: the breaker re-opens with a grown backoff and
+// the late verdict (if it ever arrives) is discarded as stale via a
+// generation counter.
 //
 // Time is always passed in as a steady_clock time_point so tests can
 // replay exact schedules without sleeping.
@@ -36,15 +38,10 @@ namespace gddr::serve {
 struct CircuitBreakerConfig {
   // Consecutive rung-1 failures that trip the breaker open.
   int failure_threshold = 3;
-  // Backoff before the first half-open probe; doubles (times
-  // `backoff_multiplier`) after every failed probe up to `max_backoff`.
+  // Backoff before the first half-open probe; grows after every failed
+  // probe up to kMaxBackoff (breaker.cpp), so it must be positive and at
+  // most kMaxBackoff.
   std::chrono::microseconds initial_backoff{100'000};
-  std::chrono::microseconds max_backoff{5'000'000};
-  double backoff_multiplier = 2.0;
-  // A half-open probe that has not reported a verdict within this window
-  // is presumed dead: the next admission attempt re-opens the breaker
-  // (with grown backoff) instead of waiting forever.
-  std::chrono::microseconds probe_timeout{1'000'000};
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
@@ -117,7 +114,7 @@ class CircuitBreaker {
     long probes = 0;          // half-open admissions
     long reopens = 0;         // failed probes (half-open -> open)
     long recoveries = 0;      // successful probes (half-open -> closed)
-    long probe_timeouts = 0;  // probes presumed dead past probe_timeout
+    long probe_timeouts = 0;  // probes presumed dead past kProbeTimeout
     int consecutive_failures = 0;
   };
   // Returns a copy: the breaker is shared across workers, so a reference
@@ -132,6 +129,7 @@ class CircuitBreaker {
   void report(std::uint64_t generation, bool success, Clock::time_point now)
       GDDR_EXCLUDES(mu_);
   void open_locked(Clock::time_point now) GDDR_REQUIRES(mu_);
+  void grow_backoff_locked() GDDR_REQUIRES(mu_);
   void expire_dead_probe_locked(Clock::time_point now) GDDR_REQUIRES(mu_);
 
   const CircuitBreakerConfig config_;

@@ -34,7 +34,7 @@ bool parse_shed_policy(const std::string& text, ShedPolicy& out) {
 Engine::Engine(rl::Policy* policy, EngineConfig config)
     : config_(std::move(config)),
       cache_(std::make_shared<TopologyCache>(
-          config_.router.topology_cache_capacity, config_.router.softmin,
+          kTopologyCacheCapacity, config_.router.softmin,
           config_.router.node_feature_scale,
           config_.router.flat_feature_scale)),
       breaker_(std::make_shared<CircuitBreaker>(config_.router.breaker)),

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/routing_env.hpp"
 #include "mcf/cache.hpp"
 #include "obs/metrics.hpp"
 #include "rl/forward.hpp"
@@ -72,14 +73,18 @@ const char* cause_name(FailureCause cause) {
 
 namespace {
 
+// Cumulative deadline fractions by which the policy stage and the
+// translation stage must finish (DeadlineBudget).
+constexpr double kPolicyFraction = 0.45;
+constexpr double kTranslateFraction = 0.35;
+
 // Builds a rung-1 observation from a possibly-short request history:
 // entries are taken newest-last, missing or size-mismatched matrices
 // become zero matrices, and the result is handed to the same
 // build_observation the policy trained on.
 rl::Observation serving_observation(const core::Scenario& scenario,
                                     const traffic::DemandSequence& history,
-                                    int memory,
-                                    core::NodeFeatureMode node_features) {
+                                    int memory) {
   const int n = scenario.graph.num_nodes();
   traffic::DemandSequence window;
   window.reserve(static_cast<std::size_t>(memory));
@@ -97,7 +102,7 @@ rl::Observation serving_observation(const core::Scenario& scenario,
     }
   }
   return core::RoutingEnv::build_observation(scenario, window, memory,
-                                             memory, node_features);
+                                             memory);
 }
 
 // The kRequestGarbage fault: what a broken upstream collector would send.
@@ -117,7 +122,7 @@ void poison_demand(traffic::DemandMatrix& dm) {
 RobustRouter::RobustRouter(rl::Policy* policy, RouterConfig config)
     : RobustRouter(policy, config,
                    std::make_shared<TopologyCache>(
-                       config.topology_cache_capacity, config.softmin,
+                       kTopologyCacheCapacity, config.softmin,
                        config.node_feature_scale, config.flat_feature_scale),
                    std::make_shared<CircuitBreaker>(config.breaker)) {}
 
@@ -131,9 +136,9 @@ RobustRouter::RobustRouter(rl::Policy* policy, RouterConfig config,
   if (cache_ == nullptr || breaker_ == nullptr) {
     throw std::invalid_argument("RobustRouter: null shared cache/breaker");
   }
-  // Fail fast on an unusable stage split instead of on the first request.
-  DeadlineBudget probe(Clock::now(), config_.deadline,
-                       config_.policy_fraction, config_.translate_fraction);
+  // Fail fast on an unusable deadline instead of on the first request.
+  DeadlineBudget probe(Clock::now(), config_.deadline, kPolicyFraction,
+                       kTranslateFraction);
   (void)probe;
 }
 
@@ -180,8 +185,7 @@ std::vector<RouteDecision> RobustRouter::decide_batch(
       obs.reserve(requests.size());
       for (const RouteRequest* r : requests) {
         obs.push_back(serving_observation(entry->obs_scenario, r->history,
-                                          config_.memory,
-                                          config_.node_features));
+                                          config_.memory));
       }
       std::vector<const rl::Observation*> obs_ptrs;
       obs_ptrs.reserve(obs.size());
@@ -240,9 +244,8 @@ RouteDecision RobustRouter::decide_with_mean(
 RouteDecision RobustRouter::decide_impl(const RouteRequest& request,
                                         Clock::time_point start,
                                         const std::vector<double>* mean) {
-  const DeadlineBudget budget(start, config_.deadline,
-                              config_.policy_fraction,
-                              config_.translate_fraction);
+  const DeadlineBudget budget(start, config_.deadline, kPolicyFraction,
+                              kTranslateFraction);
   if (request.graph == nullptr) {
     RouteDecision decision = drop_all_decision(request);
     note_failure(decision, Rung::kDropTraffic,
@@ -301,7 +304,7 @@ RouteDecision RobustRouter::decide_impl(const RouteRequest& request,
           g, *entry, demand, request.history, budget, mean, decision);
       if (cause == FailureCause::kNone) {
         probe.succeed(Clock::now());
-        entry->last_good.offer(decision.routing, config_.lkg_refresh_every);
+        entry->last_good.offer(decision.routing);
         return decision;
       }
       probe.fail(Clock::now());
@@ -371,8 +374,7 @@ FailureCause RobustRouter::try_policy_rung(
   } else {
     try {
       const rl::Observation obs =
-          serving_observation(entry.obs_scenario, history, config_.memory,
-                              config_.node_features);
+          serving_observation(entry.obs_scenario, history, config_.memory);
       mean = std::move(rl::forward_action_means(*policy_, {&obs}).front());
     } catch (const std::exception&) {
       return FailureCause::kPolicyError;
@@ -404,7 +406,7 @@ FailureCause RobustRouter::try_policy_rung(
   routing::Routing candidate;
   try {
     const std::vector<double> weights = routing::weights_from_actions(
-        mean, config_.min_weight, config_.max_weight);
+        mean, routing::kMinEdgeWeight, routing::kMaxEdgeWeight);
     candidate = routing::softmin_routing(g, weights, config_.softmin);
   } catch (const std::exception&) {
     return FailureCause::kTranslationFailed;

@@ -54,7 +54,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/routing_env.hpp"
 #include "rl/policy.hpp"
 #include "routing/routing.hpp"
 #include "routing/softmin.hpp"
@@ -131,26 +130,24 @@ struct RouteDecision {
   bool served_by_candidate = false;
 };
 
+// Topologies a serving topology cache holds (RobustRouter's private
+// cache and serve::Engine's shared one).
+inline constexpr std::size_t kTopologyCacheCapacity = 8;
+
+// Actions map to weights over [routing::kMinEdgeWeight,
+// routing::kMaxEdgeWeight] and observations use
+// core::NodeFeatureMode::kInOutSums, as in training.
 struct RouterConfig {
-  // Whole-request budget and its per-stage split (see DeadlineBudget).
+  // Whole-request budget, split across the stages by kPolicyFraction and
+  // kTranslateFraction in router.cpp (see DeadlineBudget).
   std::chrono::microseconds deadline{500'000};
-  double policy_fraction = 0.45;
-  double translate_fraction = 0.35;
   SanitizeLimits sanitize;
   CircuitBreakerConfig breaker;
-  std::size_t topology_cache_capacity = 8;
   routing::SoftminOptions softmin;
-  // Action-to-weight map; must match training (core::EnvConfig defaults).
-  double min_weight = 0.5;
-  double max_weight = 3.0;
   // Observation shape; must match training.
   int memory = 5;
-  core::NodeFeatureMode node_features = core::NodeFeatureMode::kInOutSums;
   double node_feature_scale = 1.0;
   double flat_feature_scale = 1.0;
-  // The last-known-good routing is refreshed every this many rung-1
-  // successes (copying a Routing is not free; 1 refreshes every time).
-  int lkg_refresh_every = 16;
 };
 
 struct RouterStats {
@@ -172,9 +169,8 @@ class RobustRouter {
   // Shared-state constructor for engine workers: every worker's router
   // reuses one topology cache (per-topology artifacts built once) and
   // one circuit breaker (a failing policy trips for the whole fleet).
-  // Both must be non-null; config.breaker / topology_cache_capacity /
-  // softmin / feature scales are ignored in favour of the shared
-  // instances' own configuration.
+  // Both must be non-null; config.breaker / softmin / feature scales are
+  // ignored in favour of the shared instances' own configuration.
   RobustRouter(rl::Policy* policy, RouterConfig config,
                std::shared_ptr<TopologyCache> cache,
                std::shared_ptr<CircuitBreaker> breaker);

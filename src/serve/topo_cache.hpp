@@ -77,19 +77,20 @@ struct TopologyEntry {
       successes_since_refresh_ = 0;
     }
     // Called after every rung-1 success.  Stores `r` when nothing is
-    // stored yet or every `refresh_every` successes (copying a Routing
-    // is not free; 1 refreshes every time).
-    void offer(const routing::Routing& r, int refresh_every)
-        GDDR_EXCLUDES(mu_) {
+    // stored yet or every kRefreshEvery successes (copying a Routing is
+    // not free).
+    void offer(const routing::Routing& r) GDDR_EXCLUDES(mu_) {
       const util::MutexLock lock(mu_);
       ++successes_since_refresh_;
-      if (has_ && successes_since_refresh_ < refresh_every) return;
+      if (has_ && successes_since_refresh_ < kRefreshEvery) return;
       routing_ = r;
       has_ = true;
       successes_since_refresh_ = 0;
     }
 
    private:
+    static constexpr long kRefreshEvery = 16;
+
     mutable util::Mutex mu_{util::LockRank::kLastGood,
                             "serve/topo_cache/last_good"};
     bool has_ GDDR_GUARDED_BY(mu_) = false;

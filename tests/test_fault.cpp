@@ -359,6 +359,9 @@ TEST(Watchdog, RollsBackOnInjectedNanGradient) {
   EXPECT_GE(stats.nonfinite_events, 1);
   EXPECT_GE(stats.health_rollbacks, 1);
   EXPECT_LT(stats.learning_rate, cfg.learning_rate);
+  // One rollback halves the learning rate.
+  EXPECT_EQ(stats.health_rollbacks, 1);
+  EXPECT_EQ(stats.learning_rate, cfg.learning_rate * 0.5);
 
   // The poisoned step was rolled back: every weight is still finite and
   // training continues cleanly.

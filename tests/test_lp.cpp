@@ -300,7 +300,7 @@ class StartBasis : public ::testing::Test {
     const std::uint64_t pivots = registry.counter("lp/pivots");
     const std::uint64_t fallbacks = registry.counter("lp/start_fallbacks");
     Counted out;
-    out.solution = prog.solve(LinearProgram::Options{}, start);
+    out.solution = prog.solve(start);
     out.pivots = registry.counter("lp/pivots") - pivots;
     out.fallbacks = registry.counter("lp/start_fallbacks") - fallbacks;
     return out;
@@ -372,7 +372,7 @@ TEST_F(StartBasis, InfeasibleStartFallsBack) {
   prog.add_constraint({{x, 1.0}}, Relation::kLe, 1.0);
   const std::vector<int> start = {x, -1};
   expect_cold_fallback(prog, start);
-  const Solution sol = prog.solve(LinearProgram::Options{}, start);
+  const Solution sol = prog.solve(start);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 7.0, 1e-9);
 

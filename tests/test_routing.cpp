@@ -82,22 +82,32 @@ TEST(Softmin, EmptyOrBadGammaThrows) {
 
 TEST(WeightsFromActions, AffineMapping) {
   const std::vector<double> actions{-1.0, 0.0, 1.0};
-  const auto w = weights_from_actions(actions, 0.1, 10.0);
-  EXPECT_NEAR(w[0], 0.1, 1e-12);
-  EXPECT_NEAR(w[1], 5.05, 1e-12);
-  EXPECT_NEAR(w[2], 10.0, 1e-12);
+  const auto w = weights_from_actions(actions, kMinEdgeWeight, kMaxEdgeWeight);
+  // perfbench/cpp/replay.cpp passes these values as literals.
+  EXPECT_EQ(kMinEdgeWeight, 0.5);
+  EXPECT_EQ(kMaxEdgeWeight, 3.0);
+  EXPECT_NEAR(w[0], 0.5, 1e-12);
+  EXPECT_NEAR(w[1], 1.75, 1e-12);
+  EXPECT_NEAR(w[2], 3.0, 1e-12);
 }
 
 TEST(WeightsFromActions, ClampsOutOfRange) {
-  const auto w = weights_from_actions(std::vector<double>{-5.0, 5.0});
-  EXPECT_NEAR(w[0], 0.1, 1e-12);
-  EXPECT_NEAR(w[1], 10.0, 1e-12);
+  const auto w = weights_from_actions(std::vector<double>{-5.0, 5.0},
+                                      kMinEdgeWeight, kMaxEdgeWeight);
+  EXPECT_NEAR(w[0], 0.5, 1e-12);
+  EXPECT_NEAR(w[1], 3.0, 1e-12);
 }
 
 TEST(WeightsFromActions, BadRangeThrows) {
-  EXPECT_THROW(weights_from_actions(std::vector<double>{0.0}, 0.0, 1.0),
+  const std::vector<double> action{0.0};
+  // A zero minimum (the boundary: it would make zero-weight edges), a
+  // negative one, and a range whose bounds are swapped.
+  constexpr double kZero = 0.0;
+  EXPECT_THROW(weights_from_actions(action, kZero, kMaxEdgeWeight),
                std::invalid_argument);
-  EXPECT_THROW(weights_from_actions(std::vector<double>{0.0}, 2.0, 1.0),
+  EXPECT_THROW(weights_from_actions(action, -kMinEdgeWeight, kMaxEdgeWeight),
+               std::invalid_argument);
+  EXPECT_THROW(weights_from_actions(action, kMaxEdgeWeight, kMinEdgeWeight),
                std::invalid_argument);
 }
 

@@ -21,7 +21,11 @@ Checks conventions clang-tidy cannot express:
     std::condition_variable, std::lock_guard, std::unique_lock,
     std::shared_lock, std::scoped_lock) outside src/util/sync.{hpp,cpp} —
     every lock goes through util::Mutex / util::SharedMutex so it carries
-    thread-safety capability annotations and a lock rank (DESIGN.md §13).
+    thread-safety capability annotations and a lock rank (DESIGN.md §13);
+  * no numeric-literal weight bounds in calls to weights_from_actions —
+    training and serving must map actions to weights over one range, so
+    every caller passes routing::kMinEdgeWeight / kMaxEdgeWeight instead
+    of a copy of their values.
 
 Exit status: 0 clean, 1 findings, 2 usage error.  Run from the repo root:
 
@@ -74,6 +78,30 @@ RAW_SYNC_EXEMPT = {
     Path("src/util/sync.cpp"),
 }
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"])([^">]+)[">]', re.MULTILINE)
+WEIGHTS_CALL_RE = re.compile(r"\bweights_from_actions\s*\(")
+NUMERIC_LITERAL_RE = re.compile(
+    r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?")
+
+
+def call_arguments(text: str, open_paren: int) -> list[str]:
+    """Top-level comma-separated arguments of the call whose '(' is at
+    `open_paren` (comments and strings already blanked)."""
+    args: list[str] = []
+    depth = 0
+    start = open_paren + 1
+    for i in range(open_paren, len(text)):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(text[start:i])
+                break
+        elif c == "," and depth == 1:
+            args.append(text[start:i])
+            start = i + 1
+    return [a.strip() for a in args]
 
 
 def lint_file(path: Path, roots: set[str]) -> list[str]:
@@ -127,6 +155,14 @@ def lint_file(path: Path, roots: set[str]) -> list[str]:
                  "CondVar and the MutexLock/SharedLock guards "
                  "(util/sync.hpp) so the lock carries capability "
                  "annotations and a rank")
+
+    for m in WEIGHTS_CALL_RE.finditer(text):
+        bounds = call_arguments(text, m.end() - 1)[1:]
+        if any(NUMERIC_LITERAL_RE.fullmatch(b) for b in bounds):
+            emit(m.start(), "numeric-literal weight bounds in "
+                            "weights_from_actions: pass "
+                            "routing::kMinEdgeWeight, "
+                            "routing::kMaxEdgeWeight")
 
     if rel.parts[0] == "tests":
         for m in TEST_SLEEP_RE.finditer(text):
