@@ -12,14 +12,15 @@
 //
 // Two modes:
 //   (default)  Google-Benchmark suite.
-//   --json     CI smoke: asserts the optimized kernels reproduce the
-//              naive reference exactly (== on every element), asserts
-//              the arena reaches a
-//              steady state with zero new allocations, times the
-//              forward+backward hot loop, and writes BENCH_gnn_micro.json
-//              stamped with the CMake build type and sanitizer list.  The
-//              record of reference comes from a Release build without
-//              sanitizers.
+//   --json     CI smoke: asserts both vector widths of the optimized
+//              kernels reproduce the naive reference exactly (== on every
+//              element; the 8-lane width on AVX2 hosts only), asserts the
+//              arena reaches a steady state with zero new allocations,
+//              times the forward+backward hot loop, and writes
+//              BENCH_gnn_micro.json stamped with the kernel width the
+//              dispatcher chose, the CMake build type and the sanitizer
+//              list.  The record of reference comes from a Release build
+//              without sanitizers.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -132,10 +133,24 @@ double now_seconds() {
       .count();
 }
 
-// Checks every element of the optimized kernels against the naive
-// reference (exact ==).  Returns false and prints the first offending
-// shape on mismatch.
+// One build of the three matmul kernels (nn::kernels::w4 or w8).
+struct KernelWidth {
+  int lanes;
+  void (*nn)(int, int, int, const float*, const float*, float*);
+  void (*nt_acc)(int, int, int, const float*, const float*, float*);
+  void (*tn_acc)(int, int, int, const float*, const float*, float*);
+};
+
+// Checks every element of both kernel widths against the naive reference
+// (exact ==).  The 8-lane build runs only where the dispatcher would pick
+// it (AVX2 hosts).  Returns false and prints the first offending width
+// and shape on mismatch.
 bool kernels_match_reference() {
+  const KernelWidth widths[] = {
+      {4, nn::kernels::w4::matmul_nn, nn::kernels::w4::matmul_nt_acc,
+       nn::kernels::w4::matmul_tn_acc},
+      {8, nn::kernels::w8::matmul_nn, nn::kernels::w8::matmul_nt_acc,
+       nn::kernels::w8::matmul_tn_acc}};
   // Shapes chosen to cover the GNN's hot sizes plus tails: odd dims,
   // k not a multiple of the unroll, single rows/cols.
   const int shapes[][3] = {{74, 66, 32}, {74, 32, 1},  {24, 66, 32},
@@ -165,20 +180,21 @@ bool kernels_match_reference() {
     std::vector<float> gw_ref(static_cast<std::size_t>(k) * n, 0.25F);
     nn::kernels::ref::matmul_tn_acc(m, k, n, a.data(), g.data(),
                                     gw_ref.data());
-    std::vector<float> c(static_cast<std::size_t>(m) * n);
-    nn::kernels::matmul_nn(m, k, n, a.data(), b.data(), c.data());
-    std::vector<float> gx(static_cast<std::size_t>(m) * k, 0.25F);
-    nn::kernels::matmul_nt_acc(m, n, k, g.data(), b.data(), gx.data());
-    std::vector<float> gw(static_cast<std::size_t>(k) * n, 0.25F);
-    nn::kernels::matmul_tn_acc(m, k, n, a.data(), g.data(), gw.data());
-    if (std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)) != 0 ||
-        std::memcmp(gx.data(), gx_ref.data(), gx.size() * sizeof(float)) !=
-            0 ||
-        std::memcmp(gw.data(), gw_ref.data(), gw.size() * sizeof(float)) !=
-            0) {
-      std::fprintf(stderr, "FAIL: kernel mismatch vs reference at %dx%dx%d\n",
-                   m, k, n);
-      return false;
+    for (const KernelWidth& w : widths) {
+      if (w.lanes > nn::kernels::matmul_width()) continue;
+      std::vector<float> c(static_cast<std::size_t>(m) * n);
+      w.nn(m, k, n, a.data(), b.data(), c.data());
+      std::vector<float> gx(static_cast<std::size_t>(m) * k, 0.25F);
+      w.nt_acc(m, n, k, g.data(), b.data(), gx.data());
+      std::vector<float> gw(static_cast<std::size_t>(k) * n, 0.25F);
+      w.tn_acc(m, k, n, a.data(), g.data(), gw.data());
+      if (c != c_ref || gx != gx_ref || gw != gw_ref) {
+        std::fprintf(stderr,
+                     "FAIL: %d-lane kernel mismatch vs reference at "
+                     "%dx%dx%d\n",
+                     w.lanes, m, k, n);
+        return false;
+      }
     }
   }
   return true;
@@ -188,7 +204,9 @@ int run_json_smoke() {
   std::printf("=== GNN micro smoke: kernel correctness + steady state ===\n");
 
   const bool kernels_ok = kernels_match_reference();
-  std::printf("optimized kernels == naive reference: %s\n",
+  const int kernel_width = nn::kernels::matmul_width();
+  std::printf("optimized kernels (4-lane%s) == naive reference: %s\n",
+              kernel_width == 8 ? " and 8-lane" : "",
               kernels_ok ? "yes" : "NO — MISMATCH");
 
   const Scenario scenario = tiny_scenario("GeantLike");
@@ -238,6 +256,7 @@ int run_json_smoke() {
       json, sizeof(json),
       "{\n"
       "  \"kernels_match_reference\": %s,\n"
+      "  \"kernel_width\": %d,\n"
       "  \"forward_backward_us\": %.3f,\n"
       "  \"forward_backward_iters\": %d,\n"
       "  \"topology\": \"GeantLike\",\n"
@@ -249,7 +268,8 @@ int run_json_smoke() {
       "  \"arena_reuse_per_100_iters\": %llu,\n"
       "  \"arena_bytes\": %llu\n"
       "}\n",
-      kernels_ok ? "true" : "false", us_per_iter, kIters, GDDR_BUILD_TYPE,
+      kernels_ok ? "true" : "false", kernel_width, us_per_iter, kIters,
+      GDDR_BUILD_TYPE,
       GDDR_SANITIZE_LIST[0] != '\0' ? GDDR_SANITIZE_LIST : "none",
       std::thread::hardware_concurrency(), GDDR_COMPILER,
       static_cast<unsigned long long>(misses_delta),

@@ -2,19 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace gddr::nn::kernels {
 
 namespace {
 
 // Blocking factors for the micro-kernels.  They are deliberately small:
-// one 8-wide accumulator (two xmm registers) plus a handful of hoisted
-// broadcasts is a shape the auto-vectoriser compiles to clean SSE.  A
+// one 8-wide accumulator (one ymm or two xmm registers) plus a handful of
+// hoisted broadcasts is a shape the compiler vectorises cleanly.  A
 // larger explicit register tile (4x8) measured ~2.5x *slower* here — the
 // compiler spilled the tile and synthesised broadcasts through long
 // shuffle chains.
@@ -52,17 +49,40 @@ void pack_panels_transposed(int k, int n, const float* b,
   }
 }
 
-// Rows [i0, i1) of C = A * B.  Shaped as kKu fused AXPYs: each C row is
-// zeroed, then for each block of kKu k-indices the row makes one pass,
-// adding the kKu products *in k order* per element before storing.  The
-// per-element chain is therefore exactly the naive ikj order, so the
-// result equals ref::matmul_nn under == (the reference's zero-skip only
-// drops +/-0 additions), while C is read and written kKu-times less
-// often than the naive loop.  B needs no packing here — its rows are
-// already contiguous.  Pointers must not alias (fresh output buffer).
-void matmul_nn_rows(int i0, int i1, int k, int n, const float* __restrict a,
-                    const float* __restrict b, float* __restrict c) {
-  for (int i = i0; i < i1; ++i) {
+std::size_t flops_of(int m, int k, int n) {
+  return static_cast<std::size_t>(m) * static_cast<std::size_t>(k) *
+         static_cast<std::size_t>(n);
+}
+
+// The three row kernels below are written once and compiled twice: as
+// plain code in w4:: (the x86-64 baseline, 4-lane SSE) and inlined into
+// functions marked target("avx2") in w8:: (8-lane ymm).  always_inline
+// makes each entry point inline its own copy, so the compiler vectorises
+// that copy for the entry point's instruction set.  The target string
+// leaves out "fma", and the build pins -ffp-contract=off on this file, so
+// no copy can fuse a multiply and an add: both widths round every
+// product and every sum separately, in the same per-element order.
+
+// One vector register of floats: xmm (4 lanes) or ymm (8 lanes, AVX2
+// only).  A kNr-wide panel is held in kNr / lanes of them.  (The sizes
+// are spelled out: GCC 12 silently drops a vector_size that depends on a
+// template parameter, which leaves a scalar float.)
+using Lanes4 = float __attribute__((vector_size(16)));
+using Lanes8 = float __attribute__((vector_size(32)));
+
+// C = A * B.  Shaped as kKu fused AXPYs: each C row is zeroed, then for
+// each block of kKu k-indices the row makes one pass, adding the kKu
+// products *in k order* per element before storing.  The per-element
+// chain is therefore exactly the naive ikj order, so the result equals
+// ref::matmul_nn under == (the reference's zero-skip only drops +/-0
+// additions), while C is read and written kKu-times less often than the
+// naive loop.  B needs no packing here — its rows are already
+// contiguous.  Pointers must not alias (fresh output buffer).
+[[gnu::always_inline]] inline void matmul_nn_rows(
+    int m, int k, int n, const float* __restrict a, const float* __restrict b,
+    float* __restrict c) {
+  if (m <= 0 || n <= 0) return;
+  for (int i = 0; i < m; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
     std::fill(crow, crow + n, 0.0F);
@@ -105,48 +125,55 @@ void matmul_nn_rows(int i0, int i1, int k, int n, const float* __restrict a,
   }
 }
 
-// Rows [i0, i1) of C (m x k) += G (m x n) * B^T using B^T panels.  The
-// accumulator is *seeded from C* and stored back once per panel, so per
-// element (i, kk) the chain is C's prior value followed by j-ascending
-// adds — the same chain the naive backward loop produces, with one C
-// round-trip per panel instead of per j.  The packed layout makes the
-// kNr lanes of each j contiguous (in B itself those lanes are n apart).
-// The hot panel loop is written with SSE intrinsics on x86-64: the
-// auto-vectoriser turns the equivalent scalar body into shuffle-heavy
-// lane-assembly code that measured ~6x slower.  Vector lanes map to
-// distinct output elements, so the intrinsic form computes bit-identical
-// results to the scalar fallback.
-void matmul_nt_rows(int i0, int i1, int n, int k, const float* __restrict g,
-                    const float* __restrict packed, float* __restrict c) {
+// C (m x k) += G (m x n) * B^T via B^T panels.  Tiny products don't
+// amortise the packing pass; the reference loop accumulates in the
+// identical per-element order, so falling back changes nothing
+// observable.  Otherwise each panel's accumulator is *seeded from C* and
+// stored back once, so per element (i, kk) the chain is C's prior value
+// followed by j-ascending adds — the same chain the naive backward loop
+// produces, with one C round-trip per panel instead of per j.  The
+// packed layout makes the kNr lanes of each j contiguous (in B itself
+// those lanes are n apart), so the panel loop is one broadcast, one
+// multiply and one add per j and vector register.  Written as scalar
+// code, the auto-vectoriser turned this loop into shuffle-heavy lane
+// assembly that measured ~6x slower.
+template <typename Lanes>
+[[gnu::always_inline]] inline void matmul_nt_rows(
+    int m, int n, int k, const float* __restrict g, const float* __restrict b,
+    float* __restrict c) {
+  if (m <= 0 || k <= 0 || n <= 0) return;
+  if (flops_of(m, k, n) < 4096) {
+    ref::matmul_nt_acc(m, n, k, g, b, c);
+    return;
+  }
+  std::vector<float>& buffer = pack_buffer();
+  pack_panels_transposed(k, n, b, buffer);
+  const float* __restrict packed = buffer.data();
+  constexpr int kLanes = static_cast<int>(sizeof(Lanes) / sizeof(float));
+  constexpr int kVecs = kNr / kLanes;
   const int full = k / kNr;  // Panels entirely inside [0, k).
-  for (int i = i0; i < i1; ++i) {
+  for (int i = 0; i < m; ++i) {
     const float* grow = g + static_cast<std::size_t>(i) * n;
     float* crow = c + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < full; ++p) {
       const int k0 = p * kNr;
       const float* __restrict bp =
           packed + static_cast<std::size_t>(p) * n * kNr;
-#if defined(__SSE2__)
-      __m128 acc0 = _mm_loadu_ps(crow + k0);
-      __m128 acc1 = _mm_loadu_ps(crow + k0 + 4);
-      for (int j = 0; j < n; ++j) {
-        const __m128 gij = _mm_set1_ps(grow[j]);
-        const float* __restrict brow = bp + static_cast<std::size_t>(j) * kNr;
-        acc0 = _mm_add_ps(acc0, _mm_mul_ps(gij, _mm_loadu_ps(brow)));
-        acc1 = _mm_add_ps(acc1, _mm_mul_ps(gij, _mm_loadu_ps(brow + 4)));
+      Lanes acc[kVecs];
+      for (int v = 0; v < kVecs; ++v) {
+        std::memcpy(&acc[v], crow + k0 + v * kLanes, sizeof(acc[v]));
       }
-      _mm_storeu_ps(crow + k0, acc0);
-      _mm_storeu_ps(crow + k0 + 4, acc1);
-#else
-      float acc[kNr];
-      for (int jj = 0; jj < kNr; ++jj) acc[jj] = crow[k0 + jj];
       for (int j = 0; j < n; ++j) {
-        const float gij = grow[j];
         const float* __restrict brow = bp + static_cast<std::size_t>(j) * kNr;
-        for (int jj = 0; jj < kNr; ++jj) acc[jj] += gij * brow[jj];
+        for (int v = 0; v < kVecs; ++v) {
+          Lanes bv;
+          std::memcpy(&bv, brow + v * kLanes, sizeof(bv));
+          acc[v] += grow[j] * bv;
+        }
       }
-      for (int jj = 0; jj < kNr; ++jj) crow[k0 + jj] = acc[jj];
-#endif
+      for (int v = 0; v < kVecs; ++v) {
+        std::memcpy(crow + k0 + v * kLanes, &acc[v], sizeof(acc[v]));
+      }
     }
     // Tail panel: scalar per output element, same j-ascending chain.
     for (int kk = full * kNr; kk < k; ++kk) {
@@ -162,14 +189,15 @@ void matmul_nt_rows(int i0, int i1, int n, int k, const float* __restrict g,
   }
 }
 
-// Rows [k0, k1) of C (k x n) += A^T * G.  Four C rows share each pass
-// over G; per element (kk, j) the m loop ascends in one chain, matching
-// the naive backward loop.
-void matmul_tn_rows(int k0, int k1, int m, int k, int n,
-                    const float* __restrict a, const float* __restrict g,
-                    float* __restrict c) {
-  int kk = k0;
-  for (; kk + kMr <= k1; kk += kMr) {
+// C (k x n) += A^T * G.  Four C rows share each pass over G; per element
+// (kk, j) the m loop ascends in one chain, matching the naive backward
+// loop.
+[[gnu::always_inline]] inline void matmul_tn_rows(
+    int m, int k, int n, const float* __restrict a, const float* __restrict g,
+    float* __restrict c) {
+  if (m <= 0 || k <= 0 || n <= 0) return;
+  int kk = 0;
+  for (; kk + kMr <= k; kk += kMr) {
     float* c0 = c + static_cast<std::size_t>(kk) * n;
     float* c1 = c0 + n;
     float* c2 = c1 + n;
@@ -190,7 +218,7 @@ void matmul_tn_rows(int k0, int k1, int m, int k, int n,
       }
     }
   }
-  for (; kk < k1; ++kk) {
+  for (; kk < k; ++kk) {
     float* crow = c + static_cast<std::size_t>(kk) * n;
     for (int mm = 0; mm < m; ++mm) {
       const float amk = a[static_cast<std::size_t>(mm) * k + kk];
@@ -200,43 +228,97 @@ void matmul_tn_rows(int k0, int k1, int m, int k, int n,
   }
 }
 
-std::size_t flops_of(int m, int k, int n) {
-  return static_cast<std::size_t>(m) * static_cast<std::size_t>(k) *
-         static_cast<std::size_t>(n);
+// Chosen once per process; both widths give the same bits, so the choice
+// only affects speed.
+bool use_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return avx2;
+#else
+  return false;
+#endif
 }
 
 }  // namespace
 
+namespace w4 {
+
 void matmul_nn(int m, int k, int n, const float* a, const float* b,
                float* c) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    std::fill(c, c + static_cast<std::size_t>(m) * n, 0.0F);
-    return;
-  }
-  matmul_nn_rows(0, m, k, n, a, b, c);
+  matmul_nn_rows(m, k, n, a, b, c);
 }
 
 void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
                    float* c) {
-  if (m <= 0 || k <= 0 || n <= 0) return;
-  // Tiny products don't amortise the B^T packing pass; the reference
-  // loop accumulates in the identical per-element order, so falling back
-  // changes nothing observable.
-  if (flops_of(m, k, n) < 4096) {
-    ref::matmul_nt_acc(m, n, k, g, b, c);
-    return;
-  }
-  std::vector<float>& packed = pack_buffer();
-  pack_panels_transposed(k, n, b, packed);
-  const float* bp = packed.data();
-  matmul_nt_rows(0, m, n, k, g, bp, c);
+  matmul_nt_rows<Lanes4>(m, n, k, g, b, c);
 }
 
 void matmul_tn_acc(int m, int k, int n, const float* a, const float* g,
                    float* c) {
-  if (m <= 0 || k <= 0 || n <= 0) return;
-  matmul_tn_rows(0, k, m, k, n, a, g, c);
+  matmul_tn_rows(m, k, n, a, g, c);
+}
+
+}  // namespace w4
+
+// Off x86 there is no AVX2 copy to build; w8:: is the baseline code
+// again and matmul_width() reports 4, so nothing dispatches to it.
+#if defined(__x86_64__) || defined(__i386__)
+#define GDDR_AVX2 __attribute__((target("avx2")))
+#else
+#define GDDR_AVX2
+#endif
+
+namespace w8 {
+
+GDDR_AVX2 void matmul_nn(int m, int k, int n, const float* a, const float* b,
+                         float* c) {
+  matmul_nn_rows(m, k, n, a, b, c);
+}
+
+GDDR_AVX2 void matmul_nt_acc(int m, int n, int k, const float* g,
+                             const float* b, float* c) {
+  matmul_nt_rows<Lanes8>(m, n, k, g, b, c);
+}
+
+GDDR_AVX2 void matmul_tn_acc(int m, int k, int n, const float* a,
+                             const float* g, float* c) {
+  matmul_tn_rows(m, k, n, a, g, c);
+}
+
+}  // namespace w8
+
+#undef GDDR_AVX2
+
+int matmul_width() { return use_avx2() ? 8 : 4; }
+
+void matmul_nn(int m, int k, int n, const float* a, const float* b,
+               float* c) {
+  if (use_avx2()) {
+    w8::matmul_nn(m, k, n, a, b, c);
+  } else {
+    w4::matmul_nn(m, k, n, a, b, c);
+  }
+}
+
+void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
+                   float* c) {
+  if (use_avx2()) {
+    w8::matmul_nt_acc(m, n, k, g, b, c);
+  } else {
+    w4::matmul_nt_acc(m, n, k, g, b, c);
+  }
+}
+
+void matmul_tn_acc(int m, int k, int n, const float* a, const float* g,
+                   float* c) {
+  if (use_avx2()) {
+    w8::matmul_tn_acc(m, k, n, a, g, c);
+  } else {
+    w4::matmul_tn_acc(m, k, n, a, g, c);
+  }
 }
 
 void bias_act(int rows, int cols, const float* x, const float* bias, float* y,

@@ -15,13 +15,15 @@
 //    NT/TN, row-ascending within a segment bucket).  Tiling, packing and
 //    register blocking change only the *iteration* order, never the
 //    per-element *accumulation* order, so results are bit-identical to
-//    the reference kernels in `kernels::ref`.
+//    the reference kernels in `kernels::ref`.  The same holds across the
+//    4- and 8-lane builds (`kernels::w4`, `kernels::w8`): a vector lane is
+//    one output element, and no build fuses multiply and add.
 //  * Kernels are single-threaded.  Parallelism lives one level up, in
 //    whole independent tapes (the PPO update runs one tape per minibatch
 //    shard), so no kernel result depends on a worker count.
 //
-// The reference kernels are exported so tests and bench_gnn_micro can
-// assert optimized == reference exactly.
+// Both builds and the reference kernels are exported so tests and
+// bench_gnn_micro can assert w4 == w8 == reference exactly.
 #pragma once
 
 #include <array>
@@ -72,6 +74,30 @@ void act_grad(std::size_t n, const float* g, const float* y, float* d,
 
 // bias (1 x cols) += column sums of d (rows x cols).
 void col_sum_acc(int rows, int cols, const float* d, float* bias);
+
+// The matmul entry points above run one of two builds of the same
+// kernel source, chosen once per process: w8 (8-lane AVX2) when the CPU
+// has AVX2, w4 (4-lane SSE, the x86-64 baseline) otherwise.  Neither
+// build fuses multiply and add, so both give bit-identical results.
+// Both are exported so tests can assert w4 == w8 == ref; call w8 only
+// when matmul_width() == 8.
+namespace w4 {
+void matmul_nn(int m, int k, int n, const float* a, const float* b, float* c);
+void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
+                   float* c);
+void matmul_tn_acc(int m, int k, int n, const float* a, const float* g,
+                   float* c);
+}  // namespace w4
+namespace w8 {
+void matmul_nn(int m, int k, int n, const float* a, const float* b, float* c);
+void matmul_nt_acc(int m, int n, int k, const float* g, const float* b,
+                   float* c);
+void matmul_tn_acc(int m, int k, int n, const float* a, const float* g,
+                   float* c);
+}  // namespace w8
+
+// Lanes of the build the entry points dispatch to: 8 or 4.
+int matmul_width();
 
 // Naive reference kernels (the seed's triple loops, zero-skip included).
 // Exported for equivalence tests and the bench_gnn_micro --json smoke.

@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "util/fs.hpp"
+#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace gddr::obs {
@@ -122,9 +122,12 @@ std::string make_record(int iter, const Snapshot& snapshot) {
 }
 
 void JsonlSink::append(const std::string& line) {
-  contents_ += line;
-  contents_ += '\n';
-  util::write_file_atomic(path_, contents_);
+  if (!out_.is_open()) {
+    out_.open(path_, std::ios::out | std::ios::trunc);
+    if (!out_) throw util::IoError("JsonlSink: cannot open " + path_);
+  }
+  out_ << line << '\n' << std::flush;
+  if (!out_) throw util::IoError("JsonlSink: write to " + path_ + " failed");
   lines_written_++;
 }
 

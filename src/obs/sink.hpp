@@ -17,6 +17,7 @@
 // Non-finite doubles serialise as null to keep each line valid JSON.
 #pragma once
 
+#include <fstream>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -27,18 +28,17 @@ namespace gddr::obs {
 // after training iteration `iter` (0-based).
 std::string make_record(int iter, const Snapshot& snapshot);
 
-// Crash-safe append-per-iteration writer: keeps the accumulated lines in
-// memory and rewrites the whole file through util::write_file_atomic on
-// every append, so a reader (or a crash) always sees complete lines.
-// Records stay small (one per PPO iteration), so the rewrite cost is
-// noise next to the iteration itself.
+// Append-per-iteration writer.  The first append opens the file once,
+// replacing any file already at the path; every append then writes one
+// complete line and flushes it, so a reader (or a crash of this process)
+// sees whole lines and each append costs O(line), not O(file).
 class JsonlSink {
  public:
   explicit JsonlSink(std::string path) : path_(std::move(path)) {}
 
   const std::string& path() const { return path_; }
 
-  // Appends `line` (newline added) and rewrites the file atomically.
+  // Appends `line` (newline added) and flushes it to the file.
   // Throws util::IoError on failure.
   void append(const std::string& line);
 
@@ -46,7 +46,7 @@ class JsonlSink {
 
  private:
   std::string path_;
-  std::string contents_;
+  std::ofstream out_;
   std::size_t lines_written_ = 0;
 };
 

@@ -1,8 +1,9 @@
 // Tests for the optimized kernel substrate (nn/kernels.hpp): exact
-// equivalence of the tiled/packed matmul family against the naive
-// reference over exhaustive small shapes, segment-sum plans (empty
-// segments, unused trailing segments, validation), finite-difference
-// gradients through the tiled path, and the TensorArena reuse contract.
+// equivalence of the tiled/packed matmul family, at both vector widths,
+// against the naive reference over exhaustive small shapes, segment-sum
+// plans (empty segments, unused trailing segments, validation),
+// finite-difference gradients through the tiled path, and the
+// TensorArena reuse contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -97,6 +98,90 @@ TEST(Kernels, MatmulMatchesReferencePastBlockingBoundaries) {
       ASSERT_EQ(c_ref[i], c_opt[i]) << m << "x" << k << "x" << n;
     }
   }
+}
+
+// ---------------- vector widths: w4 == w8 == ref ----------------
+
+// Largest dimension the width checks use.
+constexpr int kMaxDim = 33;
+
+// One matmul kernel at both vector widths plus its naive reference, in
+// the style of InferLLM's Checker: exec() feeds the three the same
+// inputs and the same non-zero C seed, then asserts the outputs equal
+// element by element (==, no tolerance).  Every kernel takes
+// (d0, d1, d2, x, y, c).  Each buffer is sized for the largest shape; a
+// kernel touches only a prefix, and the rest must come back equal too.
+struct WidthChecker {
+  using Kernel = void (*)(int, int, int, const float*, const float*, float*);
+  const char* name;
+  Kernel ref;
+  Kernel w4;
+  Kernel w8;
+
+  void exec(int d0, int d1, int d2, bool with_w8, util::Rng& rng) const {
+    const std::size_t size = static_cast<std::size_t>(kMaxDim) * kMaxDim;
+    const auto x = random_data(size, rng);
+    const auto y = random_data(size, rng);
+    const auto seed = random_data(size, rng);
+    std::vector<float> c_ref(seed);
+    std::vector<float> c_w4(seed);
+    std::vector<float> c_w8(seed);
+    ref(d0, d1, d2, x.data(), y.data(), c_ref.data());
+    w4(d0, d1, d2, x.data(), y.data(), c_w4.data());
+    if (with_w8) w8(d0, d1, d2, x.data(), y.data(), c_w8.data());
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(c_ref[i], c_w4[i])
+          << name << " w4 " << d0 << "x" << d1 << "x" << d2 << " at " << i;
+      if (with_w8) {
+        ASSERT_EQ(c_w4[i], c_w8[i])
+            << name << " w8 " << d0 << "x" << d1 << "x" << d2 << " at " << i;
+      }
+    }
+  }
+};
+
+const WidthChecker kCheckers[] = {
+    {"nn", kernels::ref::matmul_nn, kernels::w4::matmul_nn,
+     kernels::w8::matmul_nn},
+    {"nt", kernels::ref::matmul_nt_acc, kernels::w4::matmul_nt_acc,
+     kernels::w8::matmul_nt_acc},
+    {"tn", kernels::ref::matmul_tn_acc, kernels::w4::matmul_tn_acc,
+     kernels::w8::matmul_tn_acc}};
+
+// Tails on both sides of the 4- and 8-lane widths and the kKu = 8 unroll;
+// the products span both sides of the NT packing threshold (4096 flops).
+void check_all_widths(bool with_w8) {
+  const int sizes[] = {1, 3, 7, 8, 9, 15, 16, 17, 31, kMaxDim};
+  util::Rng rng(53);
+  for (const WidthChecker& checker : kCheckers) {
+    for (int d0 : sizes) {
+      for (int d1 : sizes) {
+        for (int d2 : sizes) {
+          checker.exec(d0, d1, d2, with_w8, rng);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelWidths, FourLanesMatchReference) { check_all_widths(false); }
+
+TEST(KernelWidths, EightLanesMatchFourLanesAndReference) {
+  if (kernels::matmul_width() != 8) {
+    GTEST_SKIP() << "host has no AVX2: the 8-lane kernels were not run";
+  }
+  check_all_widths(true);
+}
+
+TEST(KernelWidths, DispatchPicksEightLanesExactlyWhenAvx2) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  EXPECT_EQ(kernels::matmul_width(),
+            __builtin_cpu_supports("avx2") != 0 ? 8 : 4);
+#else
+  EXPECT_EQ(kernels::matmul_width(), 4);
+#endif
 }
 
 TEST(Kernels, MatmulDegenerateDimensions) {

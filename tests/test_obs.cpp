@@ -276,7 +276,11 @@ TEST_F(ObsTest, JsonlSinkAppendsCompleteLines) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "gddr_obs_sink.jsonl")
           .string();
-  std::remove(path.c_str());
+  {
+    // A file left at the path by an earlier run is replaced, not extended.
+    std::ofstream stale(path);
+    stale << "{\"stale\":1}\n{\"stale\":2}\n";
+  }
   JsonlSink sink(path);
   count("iters");
   sink.append(make_record(0, Registry::instance().snapshot()));
@@ -284,16 +288,40 @@ TEST_F(ObsTest, JsonlSinkAppendsCompleteLines) {
   sink.append(make_record(1, Registry::instance().snapshot()));
   EXPECT_EQ(sink.lines_written(), 2U);
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
   std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
   ASSERT_EQ(lines.size(), 2U);
   EXPECT_NE(lines[0].find("\"iter\":0"), std::string::npos);
   EXPECT_NE(lines[0].find("\"iters\":1"), std::string::npos);
   EXPECT_NE(lines[1].find("\"iter\":1"), std::string::npos);
   EXPECT_NE(lines[1].find("\"iters\":2"), std::string::npos);  // cumulative
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // Every append is flushed as one complete line: 1000 appends read back,
+  // while the sink is still open, as exactly 1000 whole records.
+  constexpr int kLines = 1000;
+  for (int i = 2; i < kLines; ++i) {
+    sink.append(make_record(i, Registry::instance().snapshot()));
+  }
+  EXPECT_EQ(sink.lines_written(), static_cast<std::size_t>(kLines));
+  std::ifstream in(path);
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  ASSERT_FALSE(contents.empty());
+  EXPECT_EQ(contents.back(), '\n');
+  std::istringstream all(contents);
+  int n = 0;
+  for (std::string line; std::getline(all, line); ++n) {
+    const std::string head = "{\"schema\":\"gddr.metrics.v1\",\"iter\":" +
+                             std::to_string(n) + ",";
+    ASSERT_EQ(line.compare(0, head.size(), head), 0) << "line " << n;
+    ASSERT_EQ(line.back(), '}') << "line " << n;
+  }
+  EXPECT_EQ(n, kLines);
   std::remove(path.c_str());
 }
 
